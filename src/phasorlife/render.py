@@ -6,7 +6,7 @@ bytes, which makes golden-file testing trivial.
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,62 +40,89 @@ class RenderOptions:
             raise ValueError("cell_pixel_size must be >= 1")
 
 
-def _octant(phase: float) -> int:
-    return int(round(phase * 4.0 / math.pi)) % 8
+# Cells per row block. Every renderer works one block of rows at a time, so its
+# float temporaries and Python lists stay a fixed size whatever the grid size.
+_BLOCK_CELLS = 1 << 14
+
+# Code points indexed by octant (0-7 strong, 8-15 faint) or 16 for a dead cell.
+_GLYPH_CODES = np.array([ord(ch) for ch in STRONG_ARROWS + FAINT_ARROWS + "."], dtype="<u4")
+
+# Source of each (r, g, b) channel in each hue sextant: 0 -> 0.0, 1 -> v,
+# 2 -> q = v * (1 - f), 3 -> t = v * f.
+_SEXTANT_CHANNELS = np.array(
+    [[1, 3, 0], [2, 1, 0], [0, 1, 3], [0, 2, 1], [3, 0, 1], [1, 0, 2]], dtype=np.intp
+)
+
+_CSV_FIELDS = "%.17g,%.17g,%.17g,%.17g,%.17g"
+
+
+def _row_blocks(g: Grid) -> list[slice]:
+    rows = max(1, _BLOCK_CELLS // g.width)
+    return [slice(y, min(y + rows, g.height)) for y in range(0, g.height, rows)]
+
+
+def _amplitude(a: np.ndarray) -> np.ndarray:
+    # np.hypot matches the libm hypot() behind abs(complex); np.abs(complex) does not
+    return np.hypot(a.real, a.imag)
+
+
+def _phase(a: np.ndarray) -> np.ndarray:
+    # cmath.phase is libm atan2(); np.arctan2 differs from it in the last bit
+    im, re = a.imag.ravel().tolist(), a.real.ravel().tolist()
+    return np.array(list(map(math.atan2, im, re))).reshape(a.shape)
+
+
+def _squared(amp: np.ndarray) -> np.ndarray:
+    # abs(a) ** 2 is libm pow(); amp * amp and np.power differ from it in the last bit
+    squares = map(math.pow, amp.ravel().tolist(), itertools.repeat(2.0))
+    return np.array(list(squares)).reshape(amp.shape)
 
 
 def render_ascii(g: Grid) -> str:
-    rows = []
-    for y in range(g.height):
-        row = []
-        for x in range(g.width):
-            c = g.cell(x, y)
-            if abs(c.a) ** 2 < DEAD_PROBABILITY_EPS:
-                row.append(".")
-            else:
-                glyphs = STRONG_ARROWS if abs(c.a) >= STRONG_AMPLITUDE else FAINT_ARROWS
-                row.append(glyphs[_octant(cmath.phase(c.a))])
-        rows.append("".join(row))
-    return "\n".join(rows) + "\n"
-
-
-def _hsv_bytes(phase: float, value: float) -> tuple[int, int, int]:
-    # hue from phase (degrees on the color wheel), full saturation, brightness |a|^2
-    v = min(max(value, 0.0), 1.0)
-    if v == 0.0:
-        return (0, 0, 0)
-    h = (math.degrees(phase) % 360.0) / 60.0
-    i = int(h) % 6
-    f = h - int(h)
-    q = v * (1.0 - f)
-    t = v * f
-    r, gg, b = ((v, t, 0.0), (q, v, 0.0), (0.0, v, t), (0.0, q, v), (t, 0.0, v), (v, 0.0, q))[i]
-    return (round(255 * r), round(255 * gg), round(255 * b))
+    """One arrow per cell; rows end in newlines."""
+    parts = []
+    for rows in _row_blocks(g):
+        a = g.a[rows]
+        amp = _amplitude(a)
+        octant = np.rint(_phase(a) * 4.0 / math.pi).astype(np.intp) % 8
+        index = np.where(amp >= STRONG_AMPLITUDE, octant, octant + 8)
+        index[_squared(amp) < DEAD_PROBABILITY_EPS] = 16
+        codes = np.empty((a.shape[0], g.width + 1), dtype="<u4")
+        codes[:, :-1] = _GLYPH_CODES[index]
+        codes[:, -1] = ord("\n")
+        parts.append(codes.tobytes().decode("utf-32-le"))
+    return "".join(parts)
 
 
 def render_ppm(g: Grid, opts: RenderOptions | None = None) -> bytes:
+    """Binary P6 image: hue from the phase of a, brightness |a|^2, dead cells black."""
     opts = opts or RenderOptions(mode=RenderMode.IMAGE_PPM)
     if opts.mode is not RenderMode.IMAGE_PPM:
         raise ValueError("render_ppm requires IMAGE_PPM mode")
     size = opts.cell_pixel_size
-    rgb = np.zeros((g.height, g.width, 3), dtype=np.uint8)
-    for y in range(g.height):
-        for x in range(g.width):
-            c = g.cell(x, y)
-            rgb[y, x] = _hsv_bytes(cmath.phase(c.a), abs(c.a) ** 2)
-    img = np.repeat(np.repeat(rgb, size, axis=0), size, axis=1)
-    header = f"P6\n{g.width * size} {g.height * size}\n255\n".encode("ascii")
-    return header + img.tobytes()
+    parts = [f"P6\n{g.width * size} {g.height * size}\n255\n".encode("ascii")]
+    for rows in _row_blocks(g):
+        a = g.a[rows]
+        v = np.minimum(_squared(_amplitude(a)), 1.0)
+        h = np.degrees(_phase(a)) % 360.0 / 60.0
+        sextant = np.floor(h)
+        f = h - sextant
+        # v == 0 zeroes all four sources, so dead cells come out black
+        sources = np.stack([np.zeros_like(v), v, v * (1.0 - f), v * f], axis=-1)
+        channels = _SEXTANT_CHANNELS[sextant.astype(np.intp) % 6]
+        rgb = np.rint(255 * np.take_along_axis(sources, channels, axis=-1)).astype(np.uint8)
+        parts.append(np.repeat(np.repeat(rgb, size, axis=0), size, axis=1).tobytes())
+    return b"".join(parts)
 
 
 def render_csv(g: Grid) -> str:
     """Row-major cell dump; 17 significant digits round-trip doubles losslessly."""
-    lines = ["x,y,re_a,im_a,re_b,im_b,p_alive"]
-    for y in range(g.height):
-        for x in range(g.width):
-            c = g.cell(x, y)
-            lines.append(
-                f"{x},{y},{c.a.real:.17g},{c.a.imag:.17g},"
-                f"{c.b.real:.17g},{c.b.imag:.17g},{abs(c.a) ** 2:.17g}"
-            )
-    return "\n".join(lines) + "\n"
+    # "y" never occurs in the formatted fields, so it can stand in for the row number
+    row_template = "".join(f"{x},y,{_CSV_FIELDS}\n" for x in range(g.width))
+    parts = ["x,y,re_a,im_a,re_b,im_b,p_alive\n"]
+    for rows in _row_blocks(g):
+        a, b = g.a[rows], g.b[rows]
+        values = np.stack([a.real, a.imag, b.real, b.imag, _squared(_amplitude(a))], axis=-1)
+        template = "".join(row_template.replace("y", str(y)) for y in range(rows.start, rows.stop))
+        parts.append(template % tuple(values.ravel().tolist()))
+    return "".join(parts)

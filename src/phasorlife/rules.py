@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,6 +29,8 @@ from .state import Boundary, CellState, Grid, normalize
 
 SQRT2_PLUS_1 = math.sqrt(2.0) + 1.0
 PHASE_EPS = 1e-12  # below this sum magnitude the phase is defined as 0
+# Summing eight unit phasors can round a few ulps past 8; such sums count as 8.
+A_ROUNDING_SLACK = 8 * math.ulp(8.0)
 ZERO_NORM = 1e-9
 
 # Fixed accumulation order keeps scalar and vectorized neighbor sums bit-identical.
@@ -85,9 +88,11 @@ def operator_weights(A: float) -> OperatorWeights:
     [4, 8], the survival/death blend owns (1, 2], the birth/survival blend
     owns (2, 3], the birth/death blend owns (3, 4). Normalization makes the
     constant factor irrelevant, so endpoint ownership is unobservable.
+    Sums up to ``A_ROUNDING_SLACK`` above 8 are rounding error and get the
+    death weights of A = 8; anything further out raises.
     """
     A = float(A)
-    if not math.isfinite(A) or A < 0.0 or A > 8.0:
+    if not math.isfinite(A) or A < 0.0 or A > 8.0 + A_ROUNDING_SLACK:
         raise ValueError(f"neighbor sum magnitude out of [0, 8]: {A!r}")
     if A <= 1.0:
         return OperatorWeights(0.0, 0.0, 1.0)
@@ -211,6 +216,13 @@ def _band_slices(height: int, workers: int) -> list[slice]:
     return [slice(int(p[0]), int(p[-1]) + 1) for p in pieces if len(p)]
 
 
+def _map_bands(compute, height: int, workers: int) -> None:
+    """Run ``compute`` on each of ``workers`` row bands, with at most one thread per CPU."""
+    bands = _band_slices(height, workers)
+    with ThreadPoolExecutor(max_workers=min(len(bands), os.cpu_count() or 1)) as pool:
+        list(pool.map(compute, bands))
+
+
 def step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) -> Grid:
     """Synchronous update of the whole grid.
 
@@ -231,9 +243,7 @@ def step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) -> Gr
             new_a[band] = na
             new_b[band] = nb
 
-        bands = _band_slices(g.height, workers)
-        with ThreadPoolExecutor(max_workers=len(bands)) as pool:
-            list(pool.map(compute, bands))
+        _map_bands(compute, g.height, workers)
     else:
         raw_a, raw_b = _mixed_raw(a, b, alpha)
         new_a, new_b = _normalized_pair(raw_a, raw_b, 0j, 1 + 0j)
@@ -263,9 +273,7 @@ def dual_step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) 
             new_a[band] = na
             new_b[band] = nb
 
-        bands = _band_slices(g.height, workers)
-        with ThreadPoolExecutor(max_workers=len(bands)) as pool:
-            list(pool.map(compute, bands))
+        _map_bands(compute, g.height, workers)
     else:
         raw_b, raw_a = _mixed_raw(b, a, alpha)
         new_b, new_a = _normalized_pair(raw_b, raw_a, 1 + 0j, 0j)

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from phasorlife import render
 from phasorlife import (
     ALIVE,
     CellState,
@@ -15,6 +19,13 @@ from phasorlife import (
     render_ascii,
     render_csv,
     render_ppm,
+)
+from render_reference import (
+    DIGESTS_PATH,
+    frame_digests,
+    ref_render_ascii,
+    ref_render_csv,
+    ref_render_ppm,
 )
 
 
@@ -116,3 +127,98 @@ class TestCsv:
             b2[int(ys), int(xs)] = complex(float(rb), float(ib))
         assert np.array_equal(a, a2)
         assert np.array_equal(b, b2)
+
+
+def _ulps_around(x: float, n: int = 2) -> list[float]:
+    below = above = x
+    values = [x]
+    for _ in range(n):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        values += [below, above]
+    return values
+
+
+# Amplitudes at the renderers' thresholds: |a| = 0.9 picks the arrow set and
+# |a|^2 = 1e-6 the dead glyph, so a last-bit difference there changes a frame.
+# glibc's pow(x, 2) and x * x round the square of 0.37796883434360806 differently.
+EDGE_AMPLITUDES = sorted(
+    {
+        0.0,
+        0.37796883434360806,
+        0.5,
+        1.0,
+        *_ulps_around(render.STRONG_AMPLITUDE),
+        *_ulps_around(math.sqrt(render.DEAD_PROBABILITY_EPS), 3),
+    }
+)
+# Exact multiples of pi/8 put the phase on or next to an octant rounding tie.
+EDGE_PHASES = [k * math.pi / 8 for k in range(-8, 9)]
+SIGNED_ZEROS = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+
+coefficients = st.one_of(
+    st.sampled_from(SIGNED_ZEROS),
+    st.builds(
+        lambda amp, phase: amp * complex(math.cos(phase), math.sin(phase)),
+        st.sampled_from(EDGE_AMPLITUDES),
+        st.one_of(st.sampled_from(EDGE_PHASES), st.floats(-math.pi, math.pi)),
+    ),
+    st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    # on an axis |a| is exactly the drawn amplitude
+    st.builds(
+        lambda amp, sign, axis: complex(sign * amp, 0.0) if axis else complex(0.0, sign * amp),
+        st.sampled_from(EDGE_AMPLITUDES),
+        st.sampled_from([1.0, -1.0]),
+        st.booleans(),
+    ),
+)
+
+
+@st.composite
+def coefficient_grids(draw, max_side=9):
+    w = draw(st.integers(1, max_side))
+    h = draw(st.integers(1, max_side))
+    a = draw(st.lists(coefficients, min_size=w * h, max_size=w * h))
+    b = draw(st.lists(coefficients, min_size=w * h, max_size=w * h))
+    return Grid(np.array(a).reshape(h, w), np.array(b).reshape(h, w))
+
+
+def edge_grid() -> Grid:
+    """Every edge amplitude at every edge phase, plus signed zeros, in a 7-wide grid."""
+    a = [amp * complex(math.cos(p), math.sin(p)) for amp in EDGE_AMPLITUDES for p in EDGE_PHASES]
+    a += [complex(amp, 0.0) for amp in EDGE_AMPLITUDES] + SIGNED_ZEROS
+    a += [0j] * (-len(a) % 7)
+    b = (SIGNED_ZEROS * len(a))[: len(a)]
+    return Grid(np.array(a).reshape(-1, 7), np.array(b).reshape(-1, 7))
+
+
+def assert_matches_reference(g: Grid, pixel_sizes=range(1, 5)) -> None:
+    assert render_ascii(g) == ref_render_ascii(g)
+    assert render_csv(g) == ref_render_csv(g)
+    for size in pixel_sizes:
+        opts = RenderOptions(mode=RenderMode.IMAGE_PPM, cell_pixel_size=size)
+        assert render_ppm(g, opts) == ref_render_ppm(g, size)
+
+
+class TestMatchesReference:
+    """The array renderers are byte-identical to the per-cell reference definitions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=coefficient_grids(), block_cells=st.integers(1, 20), size=st.integers(1, 4))
+    def test_random_grids(self, g, block_cells, size):
+        # small blocks split the grid into several row blocks with a short last one
+        with mock.patch.object(render, "_BLOCK_CELLS", block_cells):
+            assert_matches_reference(g, [size])
+
+    @pytest.mark.parametrize("block_cells", [1, 10, 16, render._BLOCK_CELLS])
+    def test_edge_grid(self, block_cells):
+        with mock.patch.object(render, "_BLOCK_CELLS", block_cells):
+            assert_matches_reference(edge_grid())
+
+
+class TestGoldenDigests:
+    def test_shipped_patterns(self):
+        def ppm(g: Grid, size: int) -> bytes:
+            return render_ppm(g, RenderOptions(mode=RenderMode.IMAGE_PPM, cell_pixel_size=size))
+
+        expected = json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
+        assert frame_digests(render_ascii, ppm, render_csv) == expected

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from phasorlife import rules
 from phasorlife import (
     ALIVE,
     DEAD,
@@ -21,6 +24,7 @@ from phasorlife import (
     measure_alive_probability,
     neighbor_sum,
     operator_weights,
+    parse_pattern,
     step_cell,
     step_grid,
     swap_components,
@@ -125,10 +129,15 @@ class TestOperatorWeights:
         for A in (4.0, 5.5, 8.0):
             assert operator_weights(A).w_D == 1.0
 
-    @pytest.mark.parametrize("A", [-0.1, 8.1, math.inf, math.nan])
+    @pytest.mark.parametrize("A", [-0.1, -5e-324, 8.1, 8.0 + 1e-12, math.inf, math.nan])
     def test_rejects_out_of_range(self, A):
         with pytest.raises(ValueError):
             operator_weights(A)
+
+    def test_rounding_above_eight_is_overcrowding(self):
+        A = math.nextafter(8.0, math.inf)
+        assert operator_weights(A) == operator_weights(8.0)
+        assert operator_weights(8.0 + rules.A_ROUNDING_SLACK) == operator_weights(8.0)
 
     def test_at_most_two_nonzero_and_integer_purity(self):
         rng = np.random.default_rng(3)
@@ -251,6 +260,44 @@ class TestStepGrid:
                     got = stepped.cell(x, y)
                     assert abs(got.a - expected.a) < 1e-12
                     assert abs(got.b - expected.b) < 1e-12
+
+    def test_neighbor_sum_rounding_past_eight(self):
+        # eight in-phase neighbors at -358.8923 degrees sum to A = 8.000000000000002
+        rows = "\n".join(["1@-358.8923 " * 3] * 3)
+        g = parse_pattern(f"version 1\nsize 3 3\nboundary torus\ncells\n{rows}\n").grid
+        assert neighbor_sum(g, 1, 1).A > 8.0
+        stepped = step_grid(g)
+        for y in range(3):
+            for x in range(3):
+                expected = step_cell(g.cell(x, y), neighbor_sum(g, x, y))
+                assert abs(stepped.cell(x, y).a - expected.a) < 1e-12
+                assert abs(stepped.cell(x, y).b - expected.b) < 1e-12
+
+    @pytest.mark.parametrize("stepper", [step_grid, dual_step_grid])
+    def test_thread_pool_capped_at_cpu_count(self, stepper):
+        pool_sizes = []
+        bands_run = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers=1)
+
+            def map(self, fn, bands):
+                bands = list(bands)
+                bands_run.append(len(bands))
+                return super().map(fn, bands)
+
+        g = random_grid(np.random.default_rng(13), 5, 20, Boundary.TORUS)
+        base = stepper(g)
+        with mock.patch.object(rules, "ThreadPoolExecutor", RecordingPool):
+            for cpus, workers, pool_size in [(4, 16, 4), (4, 3, 3), (None, 16, 1), (64, 100, 20)]:
+                with mock.patch.object(rules.os, "cpu_count", return_value=cpus):
+                    other = stepper(g, workers=workers)
+                assert pool_sizes.pop() == pool_size
+                assert bands_run.pop() == min(workers, g.height)
+                assert np.array_equal(base.a, other.a)
+                assert np.array_equal(base.b, other.b)
 
     def test_partitioned_execution_bit_exact(self):
         rng = np.random.default_rng(12)
