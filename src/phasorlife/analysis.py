@@ -9,6 +9,7 @@ same recurrence is confirmed at two consecutive generations.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -98,72 +99,158 @@ def _touches_border(probs: np.ndarray) -> bool:
     )
 
 
-def _shifted(p: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """p translated by (dx, dy) with dead fill, matching a fixed boundary."""
-    h, w = p.shape
-    out = np.zeros_like(p)
-    ys_dst = slice(max(0, dy), h + min(0, dy))
-    xs_dst = slice(max(0, dx), w + min(0, dx))
-    ys_src = slice(max(0, -dy), h + min(0, -dy))
-    xs_src = slice(max(0, -dx), w + min(0, -dx))
-    out[ys_dst, xs_dst] = p[ys_src, xs_src]
-    return out
+# Cells per compare temporary: maps or shifted windows are compared in chunks
+# of at most this many cells (and at least one map), whatever the grid size.
+_BATCH_CELLS = 1 << 15
+# Totals gate allowance: 8 units of roundoff (2**-53) per cell, and a floor
+# below which only subnormal intermediates live.
+_GATE_EPS = 2.0**-50
+_GATE_FLOOR = 2.0**-1022
 
 
-def _find_translation(
-    p_now: np.ndarray, p_then: np.ndarray, gap: int, boundary: Boundary, tol: float
-) -> tuple[int, int] | None:
-    h, w = p_now.shape
-    lim_x = min(gap, w - 1)  # speed of light: one cell per generation
-    lim_y = min(gap, h - 1)
-    if boundary is Boundary.TORUS:
-        for dy in range(-lim_y, lim_y + 1):
-            for dx in range(-lim_x, lim_x + 1):
-                if dx == 0 and dy == 0:
-                    continue
-                if np.max(np.abs(p_now - np.roll(p_then, (dy, dx), axis=(0, 1)))) <= tol:
-                    return (dx, dy)
-        return None
-    mass = float(p_then.sum())
-    if mass <= tol:
-        return None
-    ys, xs = np.indices(p_now.shape)
-    cx_now = float((p_now * xs).sum() / p_now.sum())
-    cy_now = float((p_now * ys).sum() / p_now.sum())
-    cx_then = float((p_then * xs).sum() / mass)
-    cy_then = float((p_then * ys).sum() / mass)
-    base_dx = round(cx_now - cx_then)
-    base_dy = round(cy_now - cy_then)
-    for ddy in (-1, 0, 1):
-        for ddx in (-1, 0, 1):
-            dx, dy = base_dx + ddx, base_dy + ddy
-            if (dx, dy) == (0, 0) or abs(dx) > lim_x or abs(dy) > lim_y:
+def _max_diffs(p: np.ndarray, maps: list[np.ndarray]):
+    """Yield (start, max over cells of |p - m|) for consecutive chunks of maps."""
+    step = max(1, _BATCH_CELLS // p.size)
+    for k in range(0, len(maps), step):
+        yield k, np.abs(p - np.asarray(maps[k : k + step])).max(axis=(1, 2))
+
+
+class _RecurrenceMatcher:
+    """Recurrence tests of the newest generation against every earlier one.
+
+    Generation i matches an earlier generation j with offset (0, 0) when
+    max|p_i - p_j| <= tol, and otherwise, if their totals differ by at most
+    tol * size, with the first translation ``_translation`` finds. The tests
+    compare the same floats as a pair-at-a-time compare, so verdicts are
+    exact. A translation of (t, j) is searched only when (t-1, j-1) can
+    match, and is kept for one generation to confirm the next pair.
+    """
+
+    def __init__(self, probs: list[np.ndarray], totals: list[float], boundary: Boundary,
+                 tol: float) -> None:
+        self.probs = probs  # classify appends one map and one total per generation
+        self.totals = totals
+        self.torus = boundary is Boundary.TORUS
+        self.tol = tol
+        self.stationary = np.zeros(0, dtype=bool)  # newest generation vs each earlier one
+        self.shifts: dict[int, tuple[int, int] | None] = {}  # j -> offset of (newest, j)
+        self.centroids: dict[int, tuple[float, float]] = {}
+
+    def advance(self) -> tuple[int, tuple[int, int]] | None:
+        """Smallest period (and offset) confirmed at the newest two generations."""
+        t = len(self.probs) - 1
+        totals = np.array(self.totals)
+        stat_prev, self.stationary = self.stationary, self._stationary(t, totals)
+        shifts_prev, self.shifts = self.shifts, {}
+        if t < 2:
+            return None
+        # index k is period k + 1: pair (t, t-1-k), confirmed by (t-1, t-2-k)
+        now = self.stationary[t - 1 : 0 : -1]
+        prev = stat_prev[::-1]
+        limit = self.tol * self.probs[t].size
+        close_now = np.abs(totals[t] - totals[t - 1 : 0 : -1]) <= limit
+        close_prev = np.abs(totals[t - 1] - totals[t - 2 :: -1]) <= limit
+        still = now & prev
+        moving = close_now & close_prev & ~now & ~prev
+        for k in np.flatnonzero(still | moving).tolist():
+            period = k + 1
+            if still[k]:
+                return period, (0, 0)
+            j = t - period
+            searched = j - 1 in shifts_prev
+            if searched and shifts_prev[j - 1] is None:
                 continue
-            if np.max(np.abs(p_now - _shifted(p_then, dx, dy))) <= tol:
-                return (dx, dy)
-    return None
+            offset = self.shifts[j] = self._translation(t, j)
+            if offset is None:
+                continue
+            before = shifts_prev[j - 1] if searched else self._translation(t - 1, j - 1)
+            if offset == before:
+                return period, offset
+        return None
 
+    def _stationary(self, t: int, totals: np.ndarray) -> np.ndarray:
+        """max|p_t - p_j| <= tol for each j < t.
 
-def _match(
-    probs: list[np.ndarray],
-    i: int,
-    j: int,
-    boundary: Boundary,
-    tol: float,
-    cache: dict[tuple[int, int], tuple[int, int] | None],
-) -> tuple[int, int] | None:
-    key = (i, j)
-    if key in cache:
-        return cache[key]
-    p_now, p_then = probs[i], probs[j]
-    result: tuple[int, int] | None = None
-    if np.max(np.abs(p_now - p_then)) <= tol:
-        result = (0, 0)
-    elif abs(float(p_now.sum()) - float(p_then.sum())) <= tol * p_now.size:
-        # totals are translation invariant; only then is the offset search worth it
-        result = _find_translation(p_now, p_then, i - j, boundary, tol)
-    cache[key] = result
-    return result
+        Only the j that pass a totals gate are compared. With n cells,
+        u = 2**-53 and T the computed totals: if every computed |p_t - p_j| is
+        at most tol, the exact totals differ by at most n * tol * (1 + u), and
+        a computed sum of n nonnegative terms lies within about n * u of its
+        exact value, relatively, in any summation order. So
+
+            |T_t - T_j| <= n*tol + n*u*(T_t + T_j + n*tol)  (to first order in n*u)
+
+        holds for every match. The gate admits j when
+        |T_t - T_j| <= n*tol + n*2**-50*(T_t + T_j + n*tol) + 2**-1022: eight
+        times that rounding allowance, which also absorbs the gate's own few
+        roundings, plus a floor for subnormal intermediates. NaN or infinite
+        totals always pass. Passing is necessary for a match, not sufficient.
+        """
+        p = self.probs[t]
+        n = p.size
+        earlier = totals[:t]
+        bound = self.tol * n + n * _GATE_EPS * (totals[t] + earlier + self.tol * n) + _GATE_FLOOR
+        candidates = np.flatnonzero(~(np.abs(earlier - totals[t]) > bound))
+        hits = np.zeros(t, dtype=bool)
+        for k, diffs in _max_diffs(p, [self.probs[j] for j in candidates]):
+            hits[candidates[k : k + diffs.size]] = diffs <= self.tol
+        return hits
+
+    def _centroid(self, t: int) -> tuple[float, float]:
+        if t not in self.centroids:
+            p = self.probs[t]
+            ys, xs = np.indices(p.shape)
+            total = self.totals[t]
+            self.centroids[t] = (float((p * xs).sum() / total), float((p * ys).sum() / total))
+        return self.centroids[t]
+
+    def _translation(self, i: int, j: int) -> tuple[int, int] | None:
+        """First nonzero offset (dx, dy) that carries p_j onto p_i within tol.
+
+        Offsets move at most one cell per generation. On a torus every offset
+        is a candidate, dy outer and dx inner. On a fixed boundary the
+        candidates are the offsets around the rounded centroid displacement,
+        in (ddy, ddx) order, and an earlier map with total at most tol has no
+        translation. Each candidate is a window into one padded copy of p_j
+        (wrapped, or dead-filled), and the windows are compared in bounded
+        chunks, in order.
+        """
+        p_now, p_then = self.probs[i], self.probs[j]
+        h, w = p_now.shape
+        lim_x = min(i - j, w - 1)
+        lim_y = min(i - j, h - 1)
+        if self.torus:
+            candidates = [
+                (dx, dy) for dy in range(-lim_y, lim_y + 1) for dx in range(-lim_x, lim_x + 1)
+            ]
+        else:
+            if self.totals[j] <= self.tol:
+                return None
+            (cx_now, cy_now), (cx_then, cy_then) = self._centroid(i), self._centroid(j)
+            base_dx, base_dy = round(cx_now - cx_then), round(cy_now - cy_then)
+            candidates = [
+                (base_dx + ddx, base_dy + ddy) for ddy in (-1, 0, 1) for ddx in (-1, 0, 1)
+            ]
+        offsets = [
+            (dx, dy) for dx, dy in candidates
+            if (dx, dy) != (0, 0) and abs(dx) <= lim_x and abs(dy) <= lim_y
+        ]
+        if not offsets:
+            return None
+        dxs, dys = zip(*offsets)
+        # padded[top + y, left + x] = p_then[y, x], wrapped or dead around it
+        top, left = max(0, max(dys)), max(0, max(dxs))
+        pad = ((top, max(0, -min(dys))), (left, max(0, -min(dxs))))
+        if self.torus:
+            padded = np.pad(p_then, pad, mode="wrap")
+        else:  # np.pad's set-up costs more than this copy on small grids
+            padded = np.zeros((h + sum(pad[0]), w + sum(pad[1])))
+            padded[top : top + h, left : left + w] = p_then
+        views = [padded[top - dy : top - dy + h, left - dx : left - dx + w] for dx, dy in offsets]
+        for k, diffs in _max_diffs(p_now, views):
+            hit = np.flatnonzero(diffs <= self.tol)
+            if hit.size:
+                return offsets[k + int(hit[0])]
+        return None
 
 
 def classify(
@@ -182,8 +269,8 @@ def classify(
     cfg = cfg or DEFAULT_CONFIG
     if max_gen < 1:
         raise ValueError("max_gen must be at least 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
 
     fixed = g0.boundary is Boundary.FIXED_DEAD
     g = g0
@@ -210,7 +297,7 @@ def classify(
     if probs[0].max() < cfg.dead_threshold:
         return report(VERDICT_DEAD, 0, generation=0)
 
-    cache: dict[tuple[int, int], tuple[int, int] | None] = {}
+    matcher = _RecurrenceMatcher(probs, totals, g0.boundary, tol)
     for t in range(1, max_gen + 1):
         g = step_grid(g, cfg)
         p = g.alive_probability()
@@ -225,17 +312,15 @@ def classify(
             )
         if p.max() < cfg.dead_threshold:
             return report(VERDICT_DEAD, t, generation=t)
-        for period in range(1, t):
-            offset = _match(probs, t, t - period, g.boundary, tol, cache)
-            if offset is None:
-                continue
-            if _match(probs, t - 1, t - 1 - period, g.boundary, tol, cache) != offset:
-                continue
-            if offset == (0, 0):
-                if period == 1:
-                    return report(VERDICT_STILL_LIFE, t)
-                return report(VERDICT_OSCILLATOR, t, period=period)
-            return report(VERDICT_TRANSLATING, t, period=period, dx=offset[0], dy=offset[1])
+        found = matcher.advance()
+        if found is None:
+            continue
+        period, offset = found
+        if offset == (0, 0):
+            if period == 1:
+                return report(VERDICT_STILL_LIFE, t)
+            return report(VERDICT_OSCILLATOR, t, period=period)
+        return report(VERDICT_TRANSLATING, t, period=period, dx=offset[0], dy=offset[1])
     return report(VERDICT_UNRESOLVED, max_gen)
 
 

@@ -1,0 +1,169 @@
+"""Pair-at-a-time recurrence matcher, the oracle the batched ``classify`` must equal.
+
+This is ``classify`` as it was before the matcher was batched: one numpy pass
+per (generation, earlier generation) pair, a dict cache of pair results, one
+shifted copy per candidate offset on a fixed boundary and one ``np.roll`` per
+offset on a torus. It plays the role ``step_cell`` plays for the stepper and
+``render_reference.py`` for the renderers: ``tests/test_analysis.py`` asserts
+that ``phasorlife.classify`` returns an equal ``FateReport`` (same verdict,
+offsets and bit-identical history) on every case it tries.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+
+from phasorlife.analysis import (
+    VERDICT_DEAD,
+    VERDICT_OSCILLATOR,
+    VERDICT_STILL_LIFE,
+    VERDICT_TRANSLATING,
+    VERDICT_UNRESOLVED,
+    FateReport,
+    _touches_border,
+)
+from phasorlife.rules import DEFAULT_CONFIG, StepConfig, step_grid
+from phasorlife.state import Boundary, Grid
+
+
+def _shifted(p: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    """p translated by (dx, dy) with dead fill, matching a fixed boundary."""
+    h, w = p.shape
+    out = np.zeros_like(p)
+    ys_dst = slice(max(0, dy), h + min(0, dy))
+    xs_dst = slice(max(0, dx), w + min(0, dx))
+    ys_src = slice(max(0, -dy), h + min(0, -dy))
+    xs_src = slice(max(0, -dx), w + min(0, -dx))
+    out[ys_dst, xs_dst] = p[ys_src, xs_src]
+    return out
+
+
+def _find_translation(
+    p_now: np.ndarray, p_then: np.ndarray, gap: int, boundary: Boundary, tol: float
+) -> tuple[int, int] | None:
+    h, w = p_now.shape
+    lim_x = min(gap, w - 1)  # speed of light: one cell per generation
+    lim_y = min(gap, h - 1)
+    if boundary is Boundary.TORUS:
+        for dy in range(-lim_y, lim_y + 1):
+            for dx in range(-lim_x, lim_x + 1):
+                if dx == 0 and dy == 0:
+                    continue
+                if np.max(np.abs(p_now - np.roll(p_then, (dy, dx), axis=(0, 1)))) <= tol:
+                    return (dx, dy)
+        return None
+    mass = float(p_then.sum())
+    if mass <= tol:
+        return None
+    ys, xs = np.indices(p_now.shape)
+    cx_now = float((p_now * xs).sum() / p_now.sum())
+    cy_now = float((p_now * ys).sum() / p_now.sum())
+    cx_then = float((p_then * xs).sum() / mass)
+    cy_then = float((p_then * ys).sum() / mass)
+    base_dx = round(cx_now - cx_then)
+    base_dy = round(cy_now - cy_then)
+    for ddy in (-1, 0, 1):
+        for ddx in (-1, 0, 1):
+            dx, dy = base_dx + ddx, base_dy + ddy
+            if (dx, dy) == (0, 0) or abs(dx) > lim_x or abs(dy) > lim_y:
+                continue
+            if np.max(np.abs(p_now - _shifted(p_then, dx, dy))) <= tol:
+                return (dx, dy)
+    return None
+
+
+def _match(
+    probs: list[np.ndarray],
+    i: int,
+    j: int,
+    boundary: Boundary,
+    tol: float,
+    cache: dict[tuple[int, int], tuple[int, int] | None],
+) -> tuple[int, int] | None:
+    key = (i, j)
+    if key in cache:
+        return cache[key]
+    p_now, p_then = probs[i], probs[j]
+    result: tuple[int, int] | None = None
+    if np.max(np.abs(p_now - p_then)) <= tol:
+        result = (0, 0)
+    elif abs(float(p_now.sum()) - float(p_then.sum())) <= tol * p_now.size:
+        # totals are translation invariant; only then is the offset search worth it
+        result = _find_translation(p_now, p_then, i - j, boundary, tol)
+    cache[key] = result
+    return result
+
+
+def classify(
+    g0: Grid,
+    cfg: StepConfig | None = None,
+    max_gen: int = 200,
+    tol: float = 1e-6,
+) -> FateReport:
+    """Run up to max_gen generations and classify the long-run behavior.
+
+    Reports dead at the first generation where every cell's alive probability
+    sits below the configured dead threshold; otherwise looks for the smallest
+    recurrence period (still life, oscillator, or translation) confirmed at
+    two consecutive generations; otherwise unresolved.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    if max_gen < 1:
+        raise ValueError("max_gen must be at least 1")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+
+    fixed = g0.boundary is Boundary.FIXED_DEAD
+    g = g0
+    probs = [g.alive_probability()]
+    totals = [float(probs[0].sum())]
+    border = fixed and _touches_border(probs[0])
+    if border:
+        warnings.warn(
+            "live amplitude on the fixed boundary; the finite grid truncates the dynamics",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
+    def report(verdict: str, t: int, **extra) -> FateReport:
+        return FateReport(
+            verdict=verdict,
+            generations_run=t,
+            max_alive_probability_final=float(probs[-1].max()),
+            alive_probability_history=tuple(totals),
+            border_contact=border,
+            **extra,
+        )
+
+    if probs[0].max() < cfg.dead_threshold:
+        return report(VERDICT_DEAD, 0, generation=0)
+
+    cache: dict[tuple[int, int], tuple[int, int] | None] = {}
+    for t in range(1, max_gen + 1):
+        g = step_grid(g, cfg)
+        p = g.alive_probability()
+        probs.append(p)
+        totals.append(float(p.sum()))
+        if fixed and not border and _touches_border(p):
+            border = True
+            warnings.warn(
+                "live amplitude reached the fixed boundary; the finite grid truncates the dynamics",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        if p.max() < cfg.dead_threshold:
+            return report(VERDICT_DEAD, t, generation=t)
+        for period in range(1, t):
+            offset = _match(probs, t, t - period, g.boundary, tol, cache)
+            if offset is None:
+                continue
+            if _match(probs, t - 1, t - 1 - period, g.boundary, tol, cache) != offset:
+                continue
+            if offset == (0, 0):
+                if period == 1:
+                    return report(VERDICT_STILL_LIFE, t)
+                return report(VERDICT_OSCILLATOR, t, period=period)
+            return report(VERDICT_TRANSLATING, t, period=period, dx=offset[0], dy=offset[1])
+    return report(VERDICT_UNRESOLVED, max_gen)

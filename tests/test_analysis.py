@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from phasorlife import analysis
 from phasorlife import (
     ALIVE,
     Boundary,
@@ -21,7 +25,9 @@ from phasorlife import (
     sweep_phase,
 )
 from phasorlife.oracle import BoolGrid
-from conftest import load_pattern
+import classify_reference as reference
+from classify_reference import classify as reference_classify
+from conftest import PATTERNS_DIR, load_pattern
 
 
 def lifted(width, height, live, boundary=Boundary.FIXED_DEAD):
@@ -87,7 +93,21 @@ CANONICAL = [
      Boundary.FIXED_DEAD, "oscillator", 3),
     ("glider", 8, 8, [(2, 1), (3, 2), (1, 3), (2, 3), (3, 3)],
      Boundary.TORUS, "translating", 4),
+    # the one classical case that reaches the fixed-boundary translation search
+    ("glider_fixed", 20, 20, [(2, 1), (3, 2), (1, 3), (2, 3), (3, 3)],
+     Boundary.FIXED_DEAD, "translating", 4),
 ]
+
+
+def translated(alive, dx, dy, boundary):
+    """alive moved by (dx, dy): wrapped on a torus, dead fill on a fixed boundary."""
+    if boundary is Boundary.TORUS:
+        return np.roll(alive, (dy, dx), axis=(0, 1))
+    h, w = alive.shape
+    out = np.zeros_like(alive)
+    out[max(0, dy):h + min(0, dy), max(0, dx):w + min(0, dx)] = (
+        alive[max(0, -dy):h + min(0, -dy), max(0, -dx):w + min(0, -dx)])
+    return out
 
 
 class TestClassify:
@@ -116,14 +136,13 @@ class TestClassify:
                 if g == prev:
                     found = gap
                     break
-                if boundary is Boundary.TORUS:
-                    rolled = [
-                        np.array_equal(g.alive, np.roll(prev.alive, (dy, dx), axis=(0, 1)))
-                        for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                    ]
-                    if any(rolled):
-                        found = -gap  # translation
-                        break
+                moved = [
+                    np.array_equal(g.alive, translated(prev.alive, dx, dy, boundary))
+                    for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                ]
+                if any(moved):
+                    found = -gap  # translation
+                    break
             if found:
                 break
             seen.append(g)
@@ -183,6 +202,11 @@ class TestClassify:
             report = classify(g)
         assert report.border_contact
 
+    @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            classify(load_pattern("blinker.sqp").grid, tol=tol)
+
     def test_interior_pattern_does_not_warn(self):
         import warnings
 
@@ -191,6 +215,134 @@ class TestClassify:
             warnings.simplefilter("error")
             report = classify(doc.grid)
         assert not report.border_contact
+
+
+SHIPPED = sorted(p.name for p in PATTERNS_DIR.glob("*.sqp"))
+# the nine sweep points of the r-pentomino phase benchmark; 0, 4 and 8 give
+# dead, unresolved and oscillator
+RPENT_PHASES = np.linspace(math.pi * (0.5 + 8.25 / 192), math.pi * (0.5 + 92.25 / 192), 9)
+
+
+@st.composite
+def soups(draw):
+    boundary = draw(st.sampled_from([Boundary.FIXED_DEAD, Boundary.TORUS]))
+    # the reference tries every torus offset with one np.roll each, so a
+    # torus side above 8 can cost it seconds per example
+    side = 12 if boundary is Boundary.FIXED_DEAD else 8
+    w = draw(st.integers(1, side))
+    h = draw(st.integers(1, side))
+    alive = np.array(draw(st.lists(st.booleans(), min_size=w * h, max_size=w * h)))
+    alive = alive.reshape(h, w)
+    if draw(st.booleans()):  # classical soup
+        return Grid(alive.astype(complex), (~alive).astype(complex), boundary)
+    # phase soup: live cells at |a| = 1 with a phase from a small set, so
+    # interference both kills and sustains
+    turns = np.array(draw(st.lists(st.integers(0, 7), min_size=w * h, max_size=w * h)))
+    a = np.where(alive, np.exp(1j * np.pi / 4 * turns.reshape(h, w)), 0j)
+    return Grid(a, (~alive).astype(complex), boundary)
+
+
+class TestMatchesReference:
+    """The batched matcher returns the same report as the pair-at-a-time reference."""
+
+    @staticmethod
+    def assert_same(g, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert classify(g, **kwargs) == reference_classify(g, **kwargs)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-3])
+    @pytest.mark.parametrize("boundary", [Boundary.FIXED_DEAD, Boundary.TORUS])
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_patterns(self, name, boundary, tol):
+        g = load_pattern(name).grid
+        # 40 generations: the torus r-pentomino costs the reference ~10 s at 200
+        self.assert_same(Grid(g.a, g.b, boundary), max_gen=40, tol=tol)
+
+    @pytest.mark.parametrize("index,max_gen", [(0, 200), (4, 60), (8, 200)])
+    def test_r_pentomino_sweep_points(self, index, max_gen):
+        doc = load_pattern("r_pentomino.sqp")
+        base = doc.grid.cell(20, 21)
+        cell = CellState(abs(base.a) * np.exp(1j * RPENT_PHASES[index]), base.b)
+        self.assert_same(doc.grid.with_cell(20, 21, cell), max_gen=max_gen)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-3])
+    @pytest.mark.parametrize("delta", [-1e-4, 1e-6, 1e-4, 1e-3])
+    def test_block_near_transition(self, delta, tol):
+        # + 1e-4 is the slowly decaying block reported as a still life (ROADMAP
+        # item 4); equality pins that verdict until it is fixed on purpose
+        doc = load_pattern("block.sqp")
+        cell = CellState(np.exp(1j * (math.acos(-0.25) + delta)), 0j)
+        self.assert_same(doc.grid.with_cell(3, 3, cell), tol=tol)
+
+    @pytest.mark.parametrize("batch_cells", [1, 1000, analysis._BATCH_CELLS])
+    def test_fixed_boundary_glider(self, batch_cells):
+        g = lifted(20, 20, [(2, 1), (3, 2), (1, 3), (2, 3), (3, 3)])
+        with mock.patch.object(analysis, "_BATCH_CELLS", batch_cells):
+            report = classify(g)
+        assert (report.verdict, report.period, report.dx, report.dy) == ("translating", 4, 1, 1)
+        assert report == reference_classify(g)
+
+    @pytest.mark.parametrize("boundary,side,cell,amp,phase,tol", [
+        (Boundary.TORUS, 8, (2, 1), 0.999, 0.0, 1e-6),
+        (Boundary.TORUS, 8, (2, 1), 0.95, 0.3, 1e-3),
+        (Boundary.FIXED_DEAD, 12, (2, 3), 0.99, 0.0, 1e-6),
+        (Boundary.FIXED_DEAD, 12, (1, 3), 0.95, 0.0, 1e-4),
+    ])
+    def test_settling_glider(self, boundary, side, cell, amp, phase, tol):
+        # one weakened cell: the glider settles within tol only after a few
+        # generations, so a translation found at t - 1 confirms at t
+        g = lifted(side, side, [(2, 1), (3, 2), (1, 3), (2, 3), (3, 3)], boundary)
+        g = g.with_cell(*cell, CellState(amp * np.exp(1j * phase), math.sqrt(1 - amp * amp)))
+        self.assert_same(g, tol=tol)
+
+    @pytest.mark.parametrize("boundary", [Boundary.FIXED_DEAD, Boundary.TORUS])
+    @pytest.mark.parametrize("gap", [1, 2, 3])
+    def test_translation_search_order(self, boundary, gap):
+        # maps that several offsets carry onto each other: the search must
+        # return the same first offset as the reference order. Every shift of
+        # the faint map is within tol, and its centroid moves by (1, 1), so on
+        # a fixed boundary the first candidate is the excluded (0, 0)
+        faint = np.zeros((10, 10))
+        faint[1:8, 1:8] = np.random.default_rng(gap).random((7, 7)) * 1e-3
+        cases = [(faint, 2e-3)]
+        if boundary is Boundary.TORUS:
+            ys, xs = np.indices((6, 6))
+            diagonal = ((xs + 2 * ys) % 6) / 10.0  # symmetric under dx + 2 dy = 0 mod 6
+            cases.append((diagonal, 1e-9))
+        for p_then, tol in cases:
+            p_now = np.roll(p_then, (1, 1), axis=(0, 1))
+            probs = [p_then] + [p_now] * gap
+            matcher = analysis._RecurrenceMatcher(
+                probs, [float(p.sum()) for p in probs], boundary, tol)
+            expected = reference._find_translation(p_now, p_then, gap, boundary, tol)
+            assert expected is not None
+            assert matcher._translation(gap, 0) == expected
+
+    def test_totals_gate_admits_every_match(self):
+        # maps exactly tol apart in every cell: their computed totals often
+        # differ by more than tol * size, so only the rounding slack admits them
+        rng = np.random.default_rng(0)
+        slack_needed = 0
+        for _ in range(200):
+            h, w = rng.integers(1, 30, 2)
+            tol = float(rng.choice([1e-6, 1e-3, 0.3]))
+            p = rng.random((h, w)) * rng.choice([1.0, 1e-3])
+            probs = [p + tol, p]
+            totals = [float(m.sum()) for m in probs]
+            matcher = analysis._RecurrenceMatcher(probs, totals, Boundary.FIXED_DEAD, tol)
+            stationary = matcher._stationary(1, np.array(totals))
+            assert stationary.tolist() == [bool(np.abs(p - probs[0]).max() <= tol)]
+            slack_needed += stationary[0] and abs(totals[1] - totals[0]) > tol * p.size
+        assert slack_needed > 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(g=soups(), max_gen=st.integers(1, 60), tol=st.sampled_from([1e-6, 1e-3, 0.3]),
+           batch_cells=st.integers(1, 600))
+    def test_random_soups(self, g, max_gen, tol, batch_cells):
+        # small batches split both the map compares and the window compares
+        with mock.patch.object(analysis, "_BATCH_CELLS", batch_cells):
+            self.assert_same(g, max_gen=max_gen, tol=tol)
 
 
 class TestSweepPhase:
@@ -244,6 +396,12 @@ class TestSweepPhase:
         doc = load_pattern("block.sqp")
         with pytest.raises(IndexError):
             sweep_phase(doc, (9, 0), [0.0])
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        doc = load_pattern("block.sqp")
+        with pytest.raises(ValueError, match="tol"):
+            sweep_phase(doc, (3, 3), [0.0, 1.0], tol=tol)
 
     def test_rejects_non_increasing_phases(self):
         doc = load_pattern("block.sqp")

@@ -100,6 +100,12 @@ class TestAnalyze:
         assert data["verdict"] == "oscillator"
         assert data["period"] == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_usage_error(self, capsys, tol):
+        rc = main(["analyze", "--pattern", pattern("blinker.sqp"), "--tol", tol])
+        assert rc == 1
+        assert "tol" in capsys.readouterr().err
+
     def test_boundary_override(self, capsys, tmp_path):
         sqp = tmp_path / "line.sqp"
         sqp.write_text("version 1\nsize 4 3\nboundary fixed\ncells\n"
