@@ -207,10 +207,11 @@ class _RecurrenceMatcher:
         """First nonzero offset (dx, dy) that carries p_j onto p_i within tol.
 
         Offsets move at most one cell per generation. On a torus every offset
-        is a candidate, dy outer and dx inner. On a fixed boundary the
-        candidates are the offsets around the rounded centroid displacement,
-        in (ddy, ddx) order, and an earlier map with total at most tol has no
-        translation. Each candidate is a window into one padded copy of p_j
+        is a candidate, dy outer and dx inner, except one that picks the same
+        window as an earlier candidate. On a fixed boundary the candidates are
+        the offsets around the rounded centroid displacement, in (ddy, ddx)
+        order, and an earlier map with total at most tol has no translation.
+        Each candidate is a window into one padded copy of p_j
         (wrapped, or dead-filled), and the windows are compared in bounded
         chunks, in order.
         """
@@ -219,9 +220,12 @@ class _RecurrenceMatcher:
         lim_x = min(i - j, w - 1)
         lim_y = min(i - j, h - 1)
         if self.torus:
-            candidates = [
-                (dx, dy) for dy in range(-lim_y, lim_y + 1) for dx in range(-lim_x, lim_x + 1)
-            ]
+            # dx and dx - w (dy and dy - h) select the same wrapped window: keep the first
+            first: dict[tuple[int, int], tuple[int, int]] = {}
+            for dy in range(-lim_y, lim_y + 1):
+                for dx in range(-lim_x, lim_x + 1):
+                    first.setdefault((dx % w, dy % h), (dx, dy))
+            candidates = list(first.values())
         else:
             if self.totals[j] <= self.tol:
                 return None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import classify, sweep_phase
 from .oracle import conway_step, project
-from .render import RenderMode, RenderOptions, render_ascii, render_csv, render_ppm
+from .render import RenderMode, render_ascii, render_csv, render_ppm
 from .rules import StepConfig, step_grid
 from .state import Boundary, Grid, PatternDocument, PatternError, parse_pattern
 
@@ -115,7 +115,7 @@ def _load(path: str, boundary_override: str | None) -> PatternDocument:
 def _write_frame(outdir: Path, gen: int, g: Grid, mode: RenderMode) -> None:
     path = outdir / f"gen_{gen:05d}.{_FRAME_SUFFIX[mode]}"
     if mode is RenderMode.IMAGE_PPM:
-        path.write_bytes(render_ppm(g, RenderOptions(mode=mode)))
+        path.write_bytes(render_ppm(g))
     elif mode is RenderMode.CSV:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render_csv(g))

@@ -32,7 +32,6 @@ class RenderMode(Enum):
 
 @dataclass(frozen=True)
 class RenderOptions:
-    mode: RenderMode = RenderMode.ASCII_ARROWS
     cell_pixel_size: int = 1
 
     def __post_init__(self) -> None:
@@ -96,10 +95,7 @@ def render_ascii(g: Grid) -> str:
 
 def render_ppm(g: Grid, opts: RenderOptions | None = None) -> bytes:
     """Binary P6 image: hue from the phase of a, brightness |a|^2, dead cells black."""
-    opts = opts or RenderOptions(mode=RenderMode.IMAGE_PPM)
-    if opts.mode is not RenderMode.IMAGE_PPM:
-        raise ValueError("render_ppm requires IMAGE_PPM mode")
-    size = opts.cell_pixel_size
+    size = (opts or RenderOptions()).cell_pixel_size
     parts = [f"P6\n{g.width * size} {g.height * size}\n255\n".encode("ascii")]
     for rows in _row_blocks(g):
         a = g.a[rows]

@@ -257,8 +257,9 @@ def dual_step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) 
 
     Neighbor sums run over the b coefficients, birth fills the b slot, death
     fills the a slot, and total cancellation maps to the canonical all-alive
-    cell (1, 0). Implemented directly, not as swap-step-swap, so the
-    alive/dead symmetry test exercises two independent code paths.
+    cell (1, 0). It shares ``_mixed_raw`` and ``_normalized_pair`` with
+    ``step_grid``, so swap-step-swap agreement does not check it on its own;
+    the scalar ``step_cell``, applied with the roles swapped, does.
     """
     cfg = cfg or DEFAULT_CONFIG
     alpha = _alpha_array(g.b, g.boundary)
@@ -269,14 +270,14 @@ def dual_step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) 
 
         def compute(band: slice) -> None:
             raw_b, raw_a = _mixed_raw(b[band], a[band], alpha[band])
-            nb, na = _normalized_pair(raw_b, raw_a, 1 + 0j, 0j)
+            nb, na = _normalized_pair(raw_b, raw_a, 0j, 1 + 0j)
             new_a[band] = na
             new_b[band] = nb
 
         _map_bands(compute, g.height, workers)
     else:
         raw_b, raw_a = _mixed_raw(b, a, alpha)
-        new_b, new_a = _normalized_pair(raw_b, raw_a, 1 + 0j, 0j)
+        new_b, new_a = _normalized_pair(raw_b, raw_a, 0j, 1 + 0j)
     if cfg.canonicalize_dead_phase:
         new_a = np.abs(new_a).astype(np.complex128)
     return Grid(new_a, new_b, g.boundary)

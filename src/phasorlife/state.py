@@ -214,7 +214,7 @@ _GLYPH_CELLS = {
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def _parse_token(token: str, line: int, column: int) -> CellState:
+def _parse_token(token: str, line: int | None, column: int | None) -> CellState:
     if token in _GLYPH_CELLS:
         return _GLYPH_CELLS[token]
     if "@" in token:
@@ -233,6 +233,33 @@ def _parse_token(token: str, line: int, column: int) -> CellState:
         b = complex(math.sqrt(max(0.0, 1.0 - amp * amp)), 0.0)
         return CellState(a, b)
     raise PatternError(f"unknown token {token!r}", line, column)
+
+
+def _decode_cells(
+    tokens: list[str], rows: list[tuple[int, str]], width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The a and b coefficients of each token, decoding every distinct token once.
+
+    ``rows`` holds the (line number, text) of the rows the tokens came from,
+    ``width`` tokens each. The table of distinct tokens keeps first-appearance
+    order, so the first token that fails to decode is the first bad token in
+    the file; only then is its line and column looked up.
+    """
+    table = dict.fromkeys(tokens)
+    cells: list[CellState] = []
+    for code, token in enumerate(table):
+        try:
+            cells.append(_parse_token(token, None, None))
+        except PatternError as err:
+            index = tokens.index(token)
+            lineno, line = rows[index // width]
+            column = [m.start() for m in _TOKEN_RE.finditer(line)][index % width] + 1
+            raise PatternError(str(err), lineno, column) from None
+        table[token] = code
+    codes = np.fromiter(map(table.__getitem__, tokens), np.intp, len(tokens))
+    a = np.array([c.a for c in cells], dtype=np.complex128)
+    b = np.array([c.b for c in cells], dtype=np.complex128)
+    return a[codes], b[codes]
 
 
 def parse_pattern(text: str) -> PatternDocument:
@@ -305,21 +332,26 @@ def parse_pattern(text: str) -> PatternDocument:
     if line.split() != ["cells"]:
         raise PatternError("expected 'cells' header", lineno)
 
-    cells: list[CellState] = []
-    for _ in range(height):
-        lineno, line = next_line("a cell row")
-        matches = list(_TOKEN_RE.finditer(line))
-        if len(matches) != width:
-            raise PatternError(
-                f"row length mismatch: expected {width} tokens, got {len(matches)}", lineno
-            )
-        for m in matches:
-            cells.append(_parse_token(m.group(), lineno, m.start() + 1))
+    rows: list[tuple[int, str]] = []
+    tokens: list[str] = []
+    try:
+        for _ in range(height):
+            lineno, line = next_line("a cell row")
+            fields = line.split()  # str.isspace and regex \s agree on every code point
+            if len(fields) != width:
+                raise PatternError(
+                    f"row length mismatch: expected {width} tokens, got {len(fields)}", lineno
+                )
+            rows.append((lineno, line))
+            tokens += fields
+        if pos < len(significant):
+            raise PatternError("unexpected content after cell rows", significant[pos][0])
+    except PatternError:
+        _decode_cells(tokens, rows, width)  # a bad token earlier in the file is reported first
+        raise
 
-    if pos < len(significant):
-        raise PatternError("unexpected content after cell rows", significant[pos][0])
-
-    grid = Grid.from_cells(width, height, cells, boundary)
+    a, b = _decode_cells(tokens, rows, width)
+    grid = Grid(a.reshape(height, width), b.reshape(height, width), boundary)
     return PatternDocument(grid=grid, version=version, name=name, comment=comment)
 
 

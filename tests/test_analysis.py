@@ -30,6 +30,9 @@ from classify_reference import classify as reference_classify
 from conftest import PATTERNS_DIR, load_pattern
 
 
+GLIDER = [(2, 1), (3, 2), (1, 3), (2, 3), (3, 3)]
+
+
 def lifted(width, height, live, boundary=Boundary.FIXED_DEAD):
     return lift(BoolGrid.from_coords(width, height, live, boundary))
 
@@ -318,6 +321,39 @@ class TestMatchesReference:
             expected = reference._find_translation(p_now, p_then, gap, boundary, tol)
             assert expected is not None
             assert matcher._translation(gap, 0) == expected
+
+    @pytest.mark.parametrize("gap", [39, 40, 47])
+    def test_torus_search_skips_repeated_windows(self, gap):
+        # once the gap reaches the side, dx and dx - 40 (dy and dy - 40) select
+        # the same window; only the first of each is compared, so a glider
+        # moved by (1, 1) still reports the reference's first offset, (-39, -39)
+        p_then = lifted(40, 40, GLIDER, Boundary.TORUS).alive_probability()
+        p_now = np.roll(p_then, (1, 1), axis=(0, 1))
+        mirrored = p_now[::-1]  # no offset carries p_then onto it
+        compared = []
+        max_diffs = analysis._max_diffs
+
+        def counting(p, maps):
+            compared.append(len(maps))
+            return max_diffs(p, maps)
+
+        for p, expected in [(p_now, (-39, -39)), (mirrored, None)]:
+            probs = [p_then] + [p] * gap
+            matcher = analysis._RecurrenceMatcher(
+                probs, [float(q.sum()) for q in probs], Boundary.TORUS, 1e-6)
+            assert reference._find_translation(p, p_then, gap, Boundary.TORUS, 1e-6) == expected
+            compared.clear()
+            with mock.patch.object(analysis, "_max_diffs", counting):
+                assert matcher._translation(gap, 0) == expected
+        assert compared == [40 * 40 - 1]  # of 79 * 79 - 1 offsets, only these windows differ
+
+    def test_small_torus_glider(self):
+        # on a 5x5 torus the period-4 search already reaches the side, and
+        # the reported offset is the first of the pair, (-4, -4), not (1, 1)
+        g = lifted(5, 5, GLIDER, Boundary.TORUS)
+        report = classify(g)
+        assert (report.verdict, report.period, report.dx, report.dy) == ("translating", 4, -4, -4)
+        assert report == reference_classify(g)
 
     def test_totals_gate_admits_every_match(self):
         # maps exactly tol apart in every cell: their computed totals often

@@ -14,7 +14,6 @@ from phasorlife import (
     ALIVE,
     CellState,
     Grid,
-    RenderMode,
     RenderOptions,
     render_ascii,
     render_csv,
@@ -75,7 +74,7 @@ class TestPpm:
         assert g == 255 and b == 0 and 0 < r < 255
 
     def test_pixel_scaling(self):
-        opts = RenderOptions(mode=RenderMode.IMAGE_PPM, cell_pixel_size=3)
+        opts = RenderOptions(cell_pixel_size=3)
         data = render_ppm(Grid.dead(2, 1), opts)
         assert data.startswith(b"P6\n6 3\n255\n")
         assert len(data) == len(b"P6\n6 3\n255\n") + 6 * 3 * 3
@@ -88,13 +87,9 @@ class TestPpm:
         g = Grid(a, b)
         assert render_ppm(g) == render_ppm(g)
 
-    def test_rejects_wrong_mode(self):
-        with pytest.raises(ValueError):
-            render_ppm(Grid.dead(1, 1), RenderOptions(mode=RenderMode.CSV))
-
     def test_rejects_bad_pixel_size(self):
         with pytest.raises(ValueError):
-            RenderOptions(mode=RenderMode.IMAGE_PPM, cell_pixel_size=0)
+            RenderOptions(cell_pixel_size=0)
 
 
 class TestCsv:
@@ -195,7 +190,7 @@ def assert_matches_reference(g: Grid, pixel_sizes=range(1, 5)) -> None:
     assert render_ascii(g) == ref_render_ascii(g)
     assert render_csv(g) == ref_render_csv(g)
     for size in pixel_sizes:
-        opts = RenderOptions(mode=RenderMode.IMAGE_PPM, cell_pixel_size=size)
+        opts = RenderOptions(cell_pixel_size=size)
         assert render_ppm(g, opts) == ref_render_ppm(g, size)
 
 
@@ -218,7 +213,7 @@ class TestMatchesReference:
 class TestGoldenDigests:
     def test_shipped_patterns(self):
         def ppm(g: Grid, size: int) -> bytes:
-            return render_ppm(g, RenderOptions(mode=RenderMode.IMAGE_PPM, cell_pixel_size=size))
+            return render_ppm(g, RenderOptions(cell_pixel_size=size))
 
         expected = json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
         assert frame_digests(render_ascii, ppm, render_csv) == expected

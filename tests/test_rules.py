@@ -339,6 +339,31 @@ class TestDuality:
         assert np.max(np.abs(g2.a - g.a)) < 1e-12
         assert np.max(np.abs(g2.b - g.b)) < 1e-12
 
+    @pytest.mark.parametrize("canonical", [False, True])
+    @pytest.mark.parametrize("boundary", [Boundary.FIXED_DEAD, Boundary.TORUS])
+    def test_matches_scalar_step_with_roles_swapped(self, boundary, canonical):
+        # dual_step_grid shares its array core with step_grid, so the
+        # swap-step-swap checks cannot see a fault in that core; step_cell can
+        cfg = StepConfig(canonicalize_dead_phase=canonical)
+        rng = np.random.default_rng(22)
+        # in the swapped frame the centre sees A = 1 (pure death) at phase 0
+        # and has b = -|a|: total cancellation, so the dual gives (1, 0)
+        s = 1 / SQ2
+        cancelling = Grid([[0, 1, 1], [1, -s, 1], [1, 1, 1]], [[1, 0, 0], [0, s, 0], [0, 0, 0]],
+                          boundary)
+        grids = [cancelling] + [random_grid(rng, 6, 5, boundary) for _ in range(20)]
+        for g in grids:
+            mirrored = swap_components(g)
+            stepped = dual_step_grid(g, cfg)
+            for y in range(g.height):
+                for x in range(g.width):
+                    expected = step_cell(mirrored.cell(x, y), neighbor_sum(mirrored, x, y), cfg)
+                    got = stepped.cell(x, y)
+                    assert abs(got.a - expected.b) < 1e-12
+                    assert abs(got.b - expected.a) < 1e-12
+        for workers in (1, 2):
+            assert dual_step_grid(cancelling, cfg, workers=workers).cell(1, 1) == ALIVE
+
     def test_random_grids(self):
         rng = np.random.default_rng(21)
         for trial in range(500):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasorlife import (
     ALIVE,
@@ -19,6 +21,8 @@ from phasorlife import (
     parse_pattern,
     serialize_pattern,
 )
+import parse_reference
+from conftest import PATTERNS_DIR
 
 SQ2 = math.sqrt(2.0)
 
@@ -211,3 +215,136 @@ class TestSerialize:
         doc = PatternDocument(grid=g, name="x", comment="y")
         doc2 = parse_pattern(serialize_pattern(doc))
         assert (doc2.name, doc2.comment) == ("x", "y")
+
+
+# Tokens the format accepts, including the edges of the amplitude and phase
+# ranges, signed zeros, exponents and digit-group underscores.
+EDGE_TOKENS = [
+    ".", ">", "<", "^", "v",
+    "0@0", "-0@0", "0@-0", "-0.0@-0.0", "1@0", "1@-0", "1e0@0", "5E-1@9e1", "0.5_0@1",
+    "1_0e-1@1_2.5", f"{math.nextafter(1.0, 0.0)!r}@0", f"0.5@{math.nextafter(360.0, 0.0)!r}",
+    f"0.5@{-math.nextafter(360.0, 0.0)!r}", f"1@{math.nextafter(360.0, 0.0)!r}", "1@-358.8923",
+    "0.6@90", "5e-324@0", "0.3@1e-320", "+0.5@+45", "0.50@3.0",
+]
+# Tokens the format rejects, one of each kind of error.
+BAD_TOKENS = [
+    "x", "o", "*", "1", "..", ">>", "@", "@0", "0.5@", "nan@0", "0.5@nan", "inf@0",
+    "0.5@inf", "-inf@0", "0.5@-inf", f"{math.nextafter(1.0, 2.0)!r}@0", "1.5@0", "-1e-300@0",
+    "0.5@360", "0.5@-360", "0.5@@1", "0.5@1@2", "_1@0", "0_.5@1", "0.5@1_", "0x1p-1@0",
+]
+# Separators that str.split() and the reference's \S+ regex both split rows on,
+# and line breaks, which also split lines.
+SEPARATORS = [" ", " ", "  ", "\t", "\xa0", "\u2003", "\u3000", "\x1f"]
+LINE_BREAKS = ["\v", "\f", "\x1c", "\x85", "\u2028"]
+
+good_tokens = st.one_of(
+    st.sampled_from(EDGE_TOKENS),
+    st.tuples(st.floats(0.0, 1.0), st.floats(-360.0, 360.0, exclude_min=True, exclude_max=True))
+    .map(lambda pair: f"{pair[0]!r}@{pair[1]!r}"),
+    st.tuples(st.floats(0.0, 1.0), st.integers(-359, 359))
+    .map(lambda pair: f"{pair[0]:.3e}@{pair[1]}"),
+)
+bad_tokens = st.one_of(
+    st.sampled_from(BAD_TOKENS),
+    st.tuples(st.floats(-0.5, 1.5), st.floats(allow_nan=True, allow_infinity=True))
+    .map(lambda pair: f"{pair[0]!r}@{pair[1]!r}"),
+)
+
+
+@st.composite
+def documents(draw):
+    """.sqp text with valid cells, sometimes a bad token or a structural error."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    lines = ["version 1", f"size {width} {height}",
+             f"boundary {draw(st.sampled_from(['fixed', 'torus']))}", "cells"]
+    tokens = good_tokens
+    if draw(st.booleans()):
+        tokens = st.one_of(good_tokens, good_tokens, good_tokens, bad_tokens)
+    separators = st.sampled_from(SEPARATORS)
+    if draw(st.integers(0, 4)) == 0:
+        separators = st.sampled_from(SEPARATORS * 4 + LINE_BREAKS)
+    sizes = st.sampled_from([0] * 10 + [-1, 1])  # rows missing or extra, tokens too few or many
+    for _ in range(max(0, height + draw(sizes))):
+        length = width + draw(sizes)
+        row = draw(st.lists(tokens, min_size=length, max_size=length))
+        seps = draw(st.lists(separators, min_size=len(row) + 1, max_size=len(row) + 1))
+        lead = seps.pop() if draw(st.booleans()) else ""
+        lines.append(lead + "".join(t + s for t, s in zip(row, seps)))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "# note", "   "])))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n# end\n"]))
+
+
+def parse_outcome(parse, text):
+    """Grid bits and metadata, or the error's type, message, line and column."""
+    try:
+        doc = parse(text)
+    except Exception as err:
+        return (type(err), str(err), getattr(err, "line", None), getattr(err, "column", None))
+    g = doc.grid
+    return (g.a.shape, g.boundary, g.a.tobytes(), g.b.tobytes(), doc.version, doc.name,
+            doc.comment)
+
+
+def assert_parses_like_reference(text):
+    assert parse_outcome(parse_pattern, text) == parse_outcome(parse_reference.parse_pattern, text)
+
+
+def header(width, height):
+    return f"version 1\nsize {width} {height}\nboundary torus\ncells\n"
+
+
+class TestMatchesReference:
+    """The token-table parser gives the per-token reference's bits or its error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=documents())
+    def test_random_documents(self, text):
+        assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize("token", EDGE_TOKENS + BAD_TOKENS)
+    def test_single_tokens(self, token):
+        # each token alone and after a repeat of itself, so a table hit is exercised
+        assert_parses_like_reference(header(1, 1) + token + "\n")
+        assert_parses_like_reference(header(3, 1) + f". {token}  {token}\n")
+
+    def test_edge_tokens_decode_exactly(self):
+        text = header(len(EDGE_TOKENS), 2) + " ".join(EDGE_TOKENS) + "\n"
+        text += " ".join(reversed(EDGE_TOKENS)) + "\n"
+        assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize("rows,error", [
+        (". .\n. x .\n", "row length mismatch"),  # short row first
+        (". x\n. . .\n", "unknown token"),  # bad token, then a long row
+        (". .\n. nan@0\n", "amplitude out of"),  # bad token, then a missing row
+        (". .\n. .\n. .\n", "unexpected content"),  # extra row
+        (". 2@0\n. .\n. .\n", "amplitude out of"),  # bad token, then trailing content
+        (". .\n. .\n. 2@0\n", "unexpected content"),  # trailing rows are not decoded
+        ("x .\n> y\n> >\n", "unknown token 'x'"),  # first of two bad tokens
+        ("> y\nx x\n. .\n", "unknown token 'y'"),
+    ])
+    def test_first_error_in_file_order(self, rows, error):
+        text = header(2, 2) + rows
+        assert_parses_like_reference(text)
+        with pytest.raises(PatternError, match=error):
+            parse_pattern(text)
+
+    def test_bad_token_location(self):
+        # the column counts every separator before the token, wide ones included
+        text = header(3, 2) + "0.5@10 .  >\n >\t0.5@10\u3000 2@0\n"
+        with pytest.raises(PatternError) as err:
+            parse_pattern(text)
+        assert (err.value.line, err.value.column) == (6, 12)
+        assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in PATTERNS_DIR.glob("*.sqp")))
+    def test_shipped_patterns(self, name):
+        assert_parses_like_reference((PATTERNS_DIR / name).read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("generator", ["frames_pattern", "soup_pattern"])
+    def test_benchmark_inputs(self, generator):
+        spec = importlib.util.spec_from_file_location(
+            "bench_gen", PATTERNS_DIR.parent / "benchmarks" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        assert_parses_like_reference(getattr(gen, generator)(0))
