@@ -153,74 +153,97 @@ def step_cell(c: CellState, ns: NeighborSum, cfg: StepConfig = DEFAULT_CONFIG) -
     return out
 
 
-def _alpha_array(coeff: np.ndarray, boundary: Boundary) -> np.ndarray:
+# Cells per row band of the stepping core: a band's temporaries stay in cache.
+_BAND_CELLS = 1 << 14
+
+
+def _halo(coeff: np.ndarray, boundary: Boundary) -> np.ndarray:
+    """``coeff`` with a one-cell border: wrapped on a torus, zero on a fixed boundary."""
     h, w = coeff.shape
+    padded = np.zeros((h + 2, w + 2), dtype=coeff.dtype)
+    padded[1:-1, 1:-1] = coeff
     if boundary is Boundary.TORUS:
-        padded = np.pad(coeff, 1, mode="wrap")
-    else:
-        padded = np.pad(coeff, 1, mode="constant")
-    acc = np.zeros_like(coeff)
-    for dx, dy in _OFFSETS:
-        acc += padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-    return acc
+        padded[0, 1:-1] = coeff[-1]
+        padded[-1, 1:-1] = coeff[0]
+        padded[:, 0] = padded[:, -2]
+        padded[:, -1] = padded[:, 1]
+    return padded
 
 
 def _weights_array(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    wB = np.zeros_like(A)
-    wS = np.zeros_like(A)
-    wD = np.zeros_like(A)
-    r1 = A <= 1.0
-    r2 = ~r1 & (A <= 2.0)
-    r3 = ~r1 & ~r2 & (A <= 3.0)
-    r4 = ~r1 & ~r2 & ~r3 & (A < 4.0)
-    r5 = A >= 4.0
-    wS[r2] = A[r2] - 1.0
-    wD[r2] = SQRT2_PLUS_1 * (2.0 - A[r2])
-    wB[r3] = A[r3] - 2.0
-    wS[r3] = SQRT2_PLUS_1 * (3.0 - A[r3])
-    wB[r4] = SQRT2_PLUS_1 * (4.0 - A[r4])
-    wD[r4] = A[r4] - 3.0
-    wD[r1 | r5] = 1.0
+    """``operator_weights`` elementwise, without its range check; NaN gets all-zero weights.
+
+    Each weight sums region formulas times 0/1 region masks, with no branch
+    per cell (``np.where`` on a random mask is several times slower). The
+    formulas are evaluated at ``fmin(A, 4)``, which equals A inside their
+    regions and is finite everywhere, so a masked-out term is a signed zero.
+    A weight is its region's value or +0: the two formulas of ``wB`` or of
+    ``wS`` are never negative at the same A, and ``wD`` ends with its mask.
+    """
+    death = (A <= 1.0) | (A >= 4.0)  # NaN fails both, like every comparison
+    r2 = (A > 1.0) & (A <= 2.0)
+    r3 = (A > 2.0) & (A <= 3.0)
+    r4 = (A > 3.0) & (A < 4.0)
+    a = np.fmin(A, 4.0)
+    wB = (a - 2.0) * r3 + SQRT2_PLUS_1 * (4.0 - a) * r4
+    wS = (a - 1.0) * r2 + SQRT2_PLUS_1 * (3.0 - a) * r3
+    wD = SQRT2_PLUS_1 * (2.0 - a) * r2 + (a - 3.0) * r4 + death
     return wB, wS, wD
 
 
-def _mixed_raw(
+def _step_band(
     live: np.ndarray, dead: np.ndarray, alpha: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw updated (live, dead) coefficient arrays for the component summed in alpha."""
+    """Next (live, dead) coefficients of a band whose live neighbors sum to ``alpha``.
+
+    Mix, then renormalize; total cancellation gives live 0, dead 1.
+    """
     A = np.abs(alpha)
     big = A >= PHASE_EPS
     unit = np.where(big, alpha / np.where(big, A, 1.0), 1.0 + 0j)
     wB, wS, wD = _weights_array(A)
     raw_live = wB * (live + np.abs(dead) * unit) + wS * live
     raw_dead = wS * dead + wD * (np.abs(live) * unit + dead)
-    return raw_live, raw_dead
-
-
-def _normalized_pair(
-    raw_live: np.ndarray,
-    raw_dead: np.ndarray,
-    zero_live: complex,
-    zero_dead: complex,
-) -> tuple[np.ndarray, np.ndarray]:
     n = np.sqrt(np.abs(raw_live) ** 2 + np.abs(raw_dead) ** 2)
     vanished = n < ZERO_NORM
     safe = np.where(vanished, 1.0, n)
-    out_live = np.where(vanished, zero_live, raw_live / safe)
-    out_dead = np.where(vanished, zero_dead, raw_dead / safe)
-    return out_live, out_dead
+    return np.where(vanished, 0j, raw_live / safe), np.where(vanished, 1 + 0j, raw_dead / safe)
 
 
-def _band_slices(height: int, workers: int) -> list[slice]:
-    pieces = np.array_split(np.arange(height), max(1, min(workers, height)))
-    return [slice(int(p[0]), int(p[-1]) + 1) for p in pieces if len(p)]
+def _step_arrays(
+    live: np.ndarray, dead: np.ndarray, boundary: Boundary, cfg: StepConfig, workers: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One synchronous step of the component pair, alpha summed over ``live``.
 
+    The grid is cut into ``min(workers, height)`` bands, one per pool task
+    (at most one thread per CPU), and each band is stepped in sub-bands of at
+    most ``_BAND_CELLS`` cells, so no temporary outgrows the cache. Every
+    cell reads only the previous generation, so any cut gives the same bytes.
+    """
+    h, w = live.shape
+    padded = _halo(live, boundary)
+    new_live = np.empty_like(live)
+    new_dead = np.empty_like(dead)
+    rows = max(1, _BAND_CELLS // w)
 
-def _map_bands(compute, height: int, workers: int) -> None:
-    """Run ``compute`` on each of ``workers`` row bands, with at most one thread per CPU."""
-    bands = _band_slices(height, workers)
-    with ThreadPoolExecutor(max_workers=min(len(bands), os.cpu_count() or 1)) as pool:
-        list(pool.map(compute, bands))
+    def run(band: slice) -> None:
+        for y0 in range(band.start, band.stop, rows):
+            y1 = min(y0 + rows, band.stop)
+            alpha = np.zeros((y1 - y0, w), dtype=live.dtype)
+            for dx, dy in _OFFSETS:
+                alpha += padded[1 + dy + y0 : 1 + dy + y1, 1 + dx : 1 + dx + w]
+            nl, nd = _step_band(live[y0:y1], dead[y0:y1], alpha)
+            new_live[y0:y1] = nl
+            new_dead[y0:y1] = np.abs(nd) if cfg.canonicalize_dead_phase else nd
+
+    if workers > 1:
+        k = min(workers, h)
+        bands = [slice(h * i // k, h * (i + 1) // k) for i in range(k)]
+        with ThreadPoolExecutor(max_workers=min(k, os.cpu_count() or 1)) as pool:
+            list(pool.map(run, bands))
+    else:
+        run(slice(0, h))
+    return new_live, new_dead
 
 
 def step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) -> Grid:
@@ -229,27 +252,11 @@ def step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) -> Gr
     Pure function: the input grid is untouched and the result is bit-identical
     for any worker count, because every cell reads only the previous
     generation and the per-cell arithmetic is independent of partitioning.
+    The one exception is the sign bit of a NaN, which numpy's vector and
+    scalar loops for complex add and multiply set differently.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    alpha = _alpha_array(g.a, g.boundary)
-    a, b = g.a, g.b
-    if workers > 1:
-        new_a = np.empty_like(a)
-        new_b = np.empty_like(b)
-
-        def compute(band: slice) -> None:
-            raw_a, raw_b = _mixed_raw(a[band], b[band], alpha[band])
-            na, nb = _normalized_pair(raw_a, raw_b, 0j, 1 + 0j)
-            new_a[band] = na
-            new_b[band] = nb
-
-        _map_bands(compute, g.height, workers)
-    else:
-        raw_a, raw_b = _mixed_raw(a, b, alpha)
-        new_a, new_b = _normalized_pair(raw_a, raw_b, 0j, 1 + 0j)
-    if cfg.canonicalize_dead_phase:
-        new_b = np.abs(new_b).astype(np.complex128)
-    return Grid(new_a, new_b, g.boundary)
+    new_a, new_b = _step_arrays(g.a, g.b, g.boundary, cfg or DEFAULT_CONFIG, workers)
+    return Grid._adopt(new_a, new_b, g.boundary)
 
 
 def dual_step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) -> Grid:
@@ -257,30 +264,13 @@ def dual_step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) 
 
     Neighbor sums run over the b coefficients, birth fills the b slot, death
     fills the a slot, and total cancellation maps to the canonical all-alive
-    cell (1, 0). It shares ``_mixed_raw`` and ``_normalized_pair`` with
-    ``step_grid``, so swap-step-swap agreement does not check it on its own;
-    the scalar ``step_cell``, applied with the roles swapped, does.
+    cell (1, 0); ``canonicalize_dead_phase`` strips the phase of ``a``. It is
+    the core of ``step_grid`` called with the components swapped, so
+    swap-step-swap agreement does not check it on its own; the scalar
+    ``step_cell``, applied with the roles swapped, does.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    alpha = _alpha_array(g.b, g.boundary)
-    a, b = g.a, g.b
-    if workers > 1:
-        new_a = np.empty_like(a)
-        new_b = np.empty_like(b)
-
-        def compute(band: slice) -> None:
-            raw_b, raw_a = _mixed_raw(b[band], a[band], alpha[band])
-            nb, na = _normalized_pair(raw_b, raw_a, 0j, 1 + 0j)
-            new_a[band] = na
-            new_b[band] = nb
-
-        _map_bands(compute, g.height, workers)
-    else:
-        raw_b, raw_a = _mixed_raw(b, a, alpha)
-        new_b, new_a = _normalized_pair(raw_b, raw_a, 0j, 1 + 0j)
-    if cfg.canonicalize_dead_phase:
-        new_a = np.abs(new_a).astype(np.complex128)
-    return Grid(new_a, new_b, g.boundary)
+    new_b, new_a = _step_arrays(g.b, g.a, g.boundary, cfg or DEFAULT_CONFIG, workers)
+    return Grid._adopt(new_a, new_b, g.boundary)
 
 
 def swap_components(g: Grid) -> Grid:

@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasorlife import rules
 from phasorlife import (
@@ -30,6 +31,7 @@ from phasorlife import (
     swap_components,
 )
 from conftest import random_grid
+import step_reference as reference
 
 SQ2 = math.sqrt(2.0)
 SQ2P1 = SQ2 + 1.0
@@ -373,3 +375,151 @@ class TestDuality:
             rhs = dual_step_grid(swap_components(g))
             assert np.max(np.abs(lhs.a - rhs.a)) < 1e-9
             assert np.max(np.abs(lhs.b - rhs.b)) < 1e-9
+
+
+NAN = float("nan")
+INF = float("inf")
+ULP_BELOW_ONE = math.nextafter(1.0, 0.0)
+ULP_ABOVE_ONE = math.nextafter(1.0, 2.0)
+# eight in-phase neighbors at -358.8923 degrees sum to A = 8.000000000000002
+PAST_EIGHT = cmath.rect(1.0, math.radians(-358.8923))
+SPECIAL_CELLS = [
+    (1 + 0j, 0j),
+    (0j, 1 + 0j),
+    (complex(-0.0, -0.0), complex(1.0, -0.0)),
+    (complex(-1.0, 0.0), complex(-0.0, 0.0)),
+    (complex(0.0, -0.0), complex(-1.0, -0.0)),
+    (PAST_EIGHT, 0j),
+    (complex(NAN, 0.0), 1 + 0j),
+    (complex(0.0, NAN), 0j),
+    (complex(INF, 0.0), 0j),
+    (complex(-INF, 1.0), 0j),
+    (1 + 0j, complex(0.0, INF)),
+]
+
+
+@st.composite
+def special_cells(draw):
+    """A special cell, or amplitude r at a multiple of pi/8 with |b| = sqrt(1 - r^2)."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(SPECIAL_CELLS))
+    r = draw(st.sampled_from([0.0, 1.0, ULP_BELOW_ONE, ULP_ABOVE_ONE, 0.5, 1 / SQ2]))
+    pa, pb = (cmath.exp(1j * math.pi * k / 8) for k in draw(st.tuples(*[st.integers(-8, 8)] * 2)))
+    return r * pa, math.sqrt(max(0.0, 1.0 - r * r)) * pb
+
+
+@st.composite
+def step_grids(draw):
+    """Non-square grids filled with one cell (uniform patches sum past 8), then overwritten."""
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 12))
+    fill = draw(special_cells())
+    a = np.full((height, width), fill[0])
+    b = np.full((height, width), fill[1])
+    for _ in range(draw(st.integers(0, width * height))):
+        x, y = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+        a[y, x], b[y, x] = draw(special_cells())
+    return Grid(a, b, draw(st.sampled_from(list(Boundary))))
+
+
+def exact_bytes(z: np.ndarray) -> bytes:
+    """Bytes of a complex array, every NaN written as the one ``np.nan``.
+
+    numpy's complex add and multiply give a NaN result a different sign bit
+    in their vector and scalar loops, so the sign of a NaN depends on the
+    length of the array an operation runs on, and today's stepper already
+    gives different NaN bits for different worker counts. Every other bit,
+    signed zeros and infinities included, is compared as it is.
+    """
+    f = z.view(np.float64)
+    return np.where(np.isnan(f), np.nan, f).tobytes()
+
+
+class TestMatchesReference:
+    """The banded core gives the bytes the pre-banding steppers in step_reference.py give."""
+
+    STEPPERS = [(step_grid, reference.ref_step_grid), (dual_step_grid, reference.ref_dual_step_grid)]
+
+    def assert_same(self, g, generations=2):
+        for stepper, ref_stepper in self.STEPPERS:
+            for canonical in (False, True):
+                cfg = StepConfig(canonicalize_dead_phase=canonical)
+                cur = g
+                for _ in range(generations):
+                    expected = ref_stepper(cur, cfg)
+                    for workers in range(1, 6):
+                        got = stepper(cur, cfg, workers=workers)
+                        assert exact_bytes(got.a) == exact_bytes(expected.a)
+                        assert exact_bytes(got.b) == exact_bytes(expected.b)
+                        assert got.boundary is cur.boundary
+                        assert not (got.a.flags.writeable or got.b.flags.writeable)
+                    cur = expected
+
+    # NaN and infinite cells make numpy warn, in the worker threads too
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(g=step_grids(), band_cells=st.integers(1, 600))
+    def test_random_grids(self, g, band_cells):
+        # small budgets cut the grid into several bands with a short last one,
+        # and budgets below the width give one row per band
+        with mock.patch.object(rules, "_BAND_CELLS", band_cells):
+            self.assert_same(g)
+
+    @pytest.mark.parametrize("boundary,rows", [
+        (Boundary.FIXED_DEAD, [[6, 5, 7], [4, 4, 7], [5, 5, 4]]),
+        (Boundary.TORUS, [[6, 1, 4], [6, 7, 2], [2, 6, 5]]),
+    ])
+    def test_signed_zeros_survive(self, boundary, rows):
+        # classical cells written with -0 parts; the step gives some -0 parts back
+        neg = complex(-0.0, -0.0)
+        cells = [(1 + 0j, 0j), (0j, 1 + 0j), (neg, complex(1.0, -0.0)),
+                 (complex(-1.0, 0.0), complex(-0.0, 0.0)), (complex(0.0, -0.0), complex(-1.0, -0.0)),
+                 (complex(-1.0, -0.0), neg), (-1j, neg), (complex(-0.0, -1.0), neg)]
+        g = Grid([[cells[i][0] for i in row] for row in rows],
+                 [[cells[i][1] for i in row] for row in rows], boundary)
+        expected = reference.ref_step_grid(g)
+        parts = np.concatenate([expected.a.view(np.float64), expected.b.view(np.float64)])
+        assert (np.signbit(parts) & (parts == 0.0)).any()
+        for workers in (1, 2):
+            got = step_grid(g, workers=workers)
+            assert got.a.tobytes() == expected.a.tobytes()
+            assert got.b.tobytes() == expected.b.tobytes()
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_sum_past_eight(self, boundary):
+        g = Grid(np.full((5, 4), PAST_EIGHT), np.zeros((5, 4)), boundary)
+        assert neighbor_sum(g, 1, 1).A > 8.0
+        with mock.patch.object(rules, "_BAND_CELLS", 5):
+            self.assert_same(g)
+
+    @pytest.mark.parametrize("band_cells", [1, 7, 40, rules._BAND_CELLS])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_soup(self, boundary, band_cells):
+        rng = np.random.default_rng(31)
+        g = random_grid(rng, 23, 17, boundary)
+        with mock.patch.object(rules, "_BAND_CELLS", band_cells):
+            self.assert_same(g, generations=3)
+
+    def test_classical_soup_wider_than_a_band(self):
+        rng = np.random.default_rng(32)
+        live = rng.random((70, 300)) < 0.35
+        g = Grid(live.astype(complex), (~live).astype(complex), Boundary.TORUS)
+        for _ in range(3):
+            expected = reference.ref_step_grid(g)
+            with mock.patch.object(rules, "_BAND_CELLS", 256):
+                got = step_grid(g)
+            assert got.a.tobytes() == expected.a.tobytes()
+            assert got.b.tobytes() == expected.b.tobytes()
+            g = expected
+
+    def test_weights_match_reference(self):
+        edges = [0.0, 5e-324, 1e-300, rules.PHASE_EPS, 1.0, 2.0, 3.0, 3 + 1 / SQ2, 4.0, 8.0,
+                 8.0 + rules.A_ROUNDING_SLACK, 9.0, INF, NAN]
+        edges += [math.nextafter(x, d) for x in (1.0, 2.0, 3.0, 4.0, 8.0) for d in (0.0, 9.0)]
+        rng = np.random.default_rng(33)
+        A = np.concatenate([edges, rng.uniform(0.0, 8.0, 2000), rng.integers(0, 9, 200)])
+        got = rules._weights_array(A)
+        for w, expected in zip(got, reference._weights_array(A)):
+            assert w.tobytes() == expected.tobytes()
+        # a NaN sum gets no operator at all, an infinite one the overcrowding death
+        assert [float(w[edges.index(NAN)]) for w in got] == [0.0, 0.0, 0.0]
+        assert [float(w[edges.index(INF)]) for w in got] == [0.0, 0.0, 1.0]
