@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -155,16 +156,38 @@ def step_cell(c: CellState, ns: NeighborSum, cfg: StepConfig = DEFAULT_CONFIG) -
 
 # Cells per row band of the stepping core: a band's temporaries stay in cache.
 _BAND_CELLS = 1 << 14
+# Bands each thread must have before a step is shared out: each thread's band
+# temporaries take their own few MiB, which only pays off on large grids.
+_MIN_BANDS_PER_THREAD = 8
 
 
-def _halo(coeff: np.ndarray, boundary: Boundary) -> np.ndarray:
-    """``coeff`` with a one-cell border: wrapped on a torus, zero on a fixed boundary."""
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(workers: int | None) -> int:
+    """``workers`` checked at the API boundary; ``None`` means every available CPU."""
+    if workers is None:
+        return _cpu_count()
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be a positive integer or None, got {workers!r}")
+    return int(workers)
+
+
+def _halo_band(coeff: np.ndarray, y0: int, y1: int, torus: bool) -> np.ndarray:
+    """Rows ``y0:y1`` of ``coeff`` with a one-cell border: wrapped on a torus, zero otherwise."""
     h, w = coeff.shape
-    padded = np.zeros((h + 2, w + 2), dtype=coeff.dtype)
-    padded[1:-1, 1:-1] = coeff
-    if boundary is Boundary.TORUS:
-        padded[0, 1:-1] = coeff[-1]
-        padded[-1, 1:-1] = coeff[0]
+    padded = np.zeros((y1 - y0 + 2, w + 2), dtype=coeff.dtype)
+    padded[1:-1, 1:-1] = coeff[y0:y1]
+    if y0 > 0 or torus:
+        padded[0, 1:-1] = coeff[y0 - 1]
+    if y1 < h or torus:
+        padded[-1, 1:-1] = coeff[y1 % h]
+    if torus:
         padded[:, 0] = padded[:, -2]
         padded[:, -1] = padded[:, 1]
     return padded
@@ -215,51 +238,63 @@ def _step_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous step of the component pair, alpha summed over ``live``.
 
-    The grid is cut into ``min(workers, height)`` bands, one per pool task
-    (at most one thread per CPU), and each band is stepped in sub-bands of at
-    most ``_BAND_CELLS`` cells, so no temporary outgrows the cache. Every
-    cell reads only the previous generation, so any cut gives the same bytes.
+    The grid is cut into row bands of at most ``_BAND_CELLS`` cells, so no
+    temporary outgrows the cache, and the cut depends on the width alone.
+    Each band pads its own rows with a halo. The calling thread steps the
+    first contiguous share of the bands and ``k - 1`` pool threads the rest,
+    with ``k`` at most ``workers``, the CPU count and one thread per
+    ``_MIN_BANDS_PER_THREAD`` bands. Every cell reads only the previous
+    generation, so the sharing never changes a byte.
     """
     h, w = live.shape
-    padded = _halo(live, boundary)
+    torus = boundary is Boundary.TORUS
     new_live = np.empty_like(live)
     new_dead = np.empty_like(dead)
     rows = max(1, _BAND_CELLS // w)
+    bands = [(y0, min(y0 + rows, h)) for y0 in range(0, h, rows)]
 
-    def run(band: slice) -> None:
-        for y0 in range(band.start, band.stop, rows):
-            y1 = min(y0 + rows, band.stop)
+    def run(share: list[tuple[int, int]]) -> None:
+        for y0, y1 in share:
+            padded = _halo_band(live, y0, y1, torus)
             alpha = np.zeros((y1 - y0, w), dtype=live.dtype)
             for dx, dy in _OFFSETS:
-                alpha += padded[1 + dy + y0 : 1 + dy + y1, 1 + dx : 1 + dx + w]
+                alpha += padded[1 + dy : y1 - y0 + 1 + dy, 1 + dx : 1 + dx + w]
             nl, nd = _step_band(live[y0:y1], dead[y0:y1], alpha)
             new_live[y0:y1] = nl
             new_dead[y0:y1] = np.abs(nd) if cfg.canonicalize_dead_phase else nd
 
-    if workers > 1:
-        k = min(workers, h)
-        bands = [slice(h * i // k, h * (i + 1) // k) for i in range(k)]
-        with ThreadPoolExecutor(max_workers=min(k, os.cpu_count() or 1)) as pool:
-            list(pool.map(run, bands))
+    n = len(bands)
+    k = max(1, min(workers, _cpu_count(), n // _MIN_BANDS_PER_THREAD))
+    if k == 1:
+        run(bands)
     else:
-        run(slice(0, h))
+        shares = [bands[n * i // k : n * (i + 1) // k] for i in range(k)]
+        with ThreadPoolExecutor(max_workers=k - 1) as pool:
+            helpers = [pool.submit(run, share) for share in shares[1:]]
+            run(shares[0])
+            for done in helpers:
+                done.result()
     return new_live, new_dead
 
 
-def step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) -> Grid:
+def step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int | None = None) -> Grid:
     """Synchronous update of the whole grid.
 
     Pure function: the input grid is untouched and the result is bit-identical
     for any worker count, because every cell reads only the previous
-    generation and the per-cell arithmetic is independent of partitioning.
-    The one exception is the sign bit of a NaN, which numpy's vector and
-    scalar loops for complex add and multiply set differently.
+    generation and the bands the core steps do not depend on ``workers``.
+    ``workers`` caps the threads; ``None`` means every CPU this process may
+    run on, and anything but a positive integer raises ``ValueError``.
     """
-    new_a, new_b = _step_arrays(g.a, g.b, g.boundary, cfg or DEFAULT_CONFIG, workers)
+    new_a, new_b = _step_arrays(
+        g.a, g.b, g.boundary, cfg or DEFAULT_CONFIG, _worker_count(workers)
+    )
     return Grid._adopt(new_a, new_b, g.boundary)
 
 
-def dual_step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) -> Grid:
+def dual_step_grid(
+    g: Grid, cfg: StepConfig | None = None, *, workers: int | None = None
+) -> Grid:
     """Mirror stepper with the roles of the two components exchanged.
 
     Neighbor sums run over the b coefficients, birth fills the b slot, death
@@ -269,7 +304,9 @@ def dual_step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) 
     swap-step-swap agreement does not check it on its own; the scalar
     ``step_cell``, applied with the roles swapped, does.
     """
-    new_b, new_a = _step_arrays(g.b, g.a, g.boundary, cfg or DEFAULT_CONFIG, workers)
+    new_b, new_a = _step_arrays(
+        g.b, g.a, g.boundary, cfg or DEFAULT_CONFIG, _worker_count(workers)
+    )
     return Grid._adopt(new_a, new_b, g.boundary)
 
 

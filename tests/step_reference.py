@@ -8,7 +8,9 @@ It plays the role ``step_cell`` plays for the stepper's arithmetic and
 ``render_reference.py`` for the renderers: ``tests/test_rules.py`` asserts
 that ``phasorlife.step_grid`` and ``phasorlife.dual_step_grid`` give the same
 ``a``/``b`` bytes on every grid it tries. Only the two public names are
-renamed (``ref_`` prefix); the bodies are copied verbatim.
+renamed (``ref_`` prefix), and the result is wrapped with ``Grid._adopt``
+instead of ``Grid(...)``, which now refuses the NaN and infinite cells the
+tests step; the bodies are otherwise copied verbatim.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def ref_step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) -
         new_a, new_b = _normalized_pair(raw_a, raw_b, 0j, 1 + 0j)
     if cfg.canonicalize_dead_phase:
         new_b = np.abs(new_b).astype(np.complex128)
-    return Grid(new_a, new_b, g.boundary)
+    return Grid._adopt(new_a, new_b, g.boundary)
 
 
 def ref_dual_step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) -> Grid:
@@ -156,4 +158,4 @@ def ref_dual_step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int =
         new_b, new_a = _normalized_pair(raw_b, raw_a, 0j, 1 + 0j)
     if cfg.canonicalize_dead_phase:
         new_a = np.abs(new_a).astype(np.complex128)
-    return Grid(new_a, new_b, g.boundary)
+    return Grid._adopt(new_a, new_b, g.boundary)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -277,29 +278,73 @@ class TestStepGrid:
 
     @pytest.mark.parametrize("stepper", [step_grid, dual_step_grid])
     def test_thread_pool_capped_at_cpu_count(self, stepper):
-        pool_sizes = []
-        bands_run = []
+        pools = []
 
         class RecordingPool(ThreadPoolExecutor):
             def __init__(self, max_workers):
-                pool_sizes.append(max_workers)
-                super().__init__(max_workers=1)
+                super().__init__(max_workers=max_workers)
+                self.threads, self.tasks = max_workers, 0
+                pools.append(self)
 
-            def map(self, fn, bands):
-                bands = list(bands)
-                bands_run.append(len(bands))
-                return super().map(fn, bands)
+            def submit(self, fn, *args):
+                self.tasks += 1
+                return super().submit(fn, *args)
 
         g = random_grid(np.random.default_rng(13), 5, 20, Boundary.TORUS)
-        base = stepper(g)
-        with mock.patch.object(rules, "ThreadPoolExecutor", RecordingPool):
-            for cpus, workers, pool_size in [(4, 16, 4), (4, 3, 3), (None, 16, 1), (64, 100, 20)]:
-                with mock.patch.object(rules.os, "cpu_count", return_value=cpus):
+        base = stepper(g, workers=1)
+        # budget 5 cuts the 5x20 grid into 20 one-row bands
+        cases = [  # cpus, workers, min bands per thread, pool threads
+            (4, 16, 8, 1), (4, 16, 1, 3), (4, 3, 1, 2), (1, 16, 1, 0), (64, 100, 1, 19),
+            (64, 100, 7, 1), (64, None, 1, 19), (3, None, 1, 2), (64, 1, 1, 0),
+        ]
+        with mock.patch.object(rules, "ThreadPoolExecutor", RecordingPool), \
+                mock.patch.object(rules, "_BAND_CELLS", 5):
+            for cpus, workers, min_bands, helpers in cases:
+                with mock.patch.object(rules, "_cpu_count", return_value=cpus), \
+                        mock.patch.object(rules, "_MIN_BANDS_PER_THREAD", min_bands):
                     other = stepper(g, workers=workers)
-                assert pool_sizes.pop() == pool_size
-                assert bands_run.pop() == min(workers, g.height)
-                assert np.array_equal(base.a, other.a)
-                assert np.array_equal(base.b, other.b)
+                if helpers:
+                    pool = pools.pop()
+                    # the caller steps a share of its own, so one task per helper
+                    assert (pool.threads, pool.tasks) == (helpers, helpers)
+                    assert helpers <= cpus - 1
+                    assert helpers <= g.height // min_bands - 1
+                assert not pools
+                assert other.a.tobytes() == base.a.tobytes()
+                assert other.b.tobytes() == base.b.tobytes()
+
+    @pytest.mark.parametrize("side", [40, 256])
+    @pytest.mark.parametrize("stepper", [step_grid, dual_step_grid])
+    def test_small_grids_stay_on_the_calling_thread(self, stepper, side):
+        # 40x40 is one band and 256x256 four at the default budget: a helper
+        # thread would cost its own malloc arena and save no time
+        g = random_grid(np.random.default_rng(14), side, side, Boundary.TORUS)
+        base = stepper(g, workers=1)
+        with mock.patch.object(rules, "ThreadPoolExecutor", side_effect=AssertionError), \
+                mock.patch.object(rules, "_cpu_count", return_value=64):
+            for workers in (None, 2, 64):
+                other = stepper(g, workers=workers)
+                assert other.a.tobytes() == base.a.tobytes()
+                assert other.b.tobytes() == base.b.tobytes()
+
+    @pytest.mark.parametrize("workers", [0, -1, True, False, 2.0, "2"])
+    @pytest.mark.parametrize("stepper", [step_grid, dual_step_grid])
+    def test_rejects_bad_worker_counts(self, stepper, workers):
+        with pytest.raises(ValueError, match="workers"):
+            stepper(block(), workers=workers)
+
+    @pytest.mark.parametrize("stepper", [step_grid, dual_step_grid])
+    def test_default_workers_is_every_cpu(self, stepper):
+        g = random_grid(np.random.default_rng(15), 7, 9, Boundary.TORUS)
+        base = stepper(g, workers=1)
+        for workers in (None, np.int64(3)):
+            other = stepper(g, workers=workers)
+            assert other.a.tobytes() == base.a.tobytes()
+            assert other.b.tobytes() == base.b.tobytes()
+        affinity = getattr(rules.os, "sched_getaffinity", None)
+        expected = len(affinity(0)) if affinity else rules.os.cpu_count() or 1
+        assert rules._cpu_count() == expected
+        assert rules._worker_count(None) == expected
 
     def test_partitioned_execution_bit_exact(self):
         rng = np.random.default_rng(12)
@@ -413,12 +458,13 @@ def step_grids(draw):
     """Non-square grids filled with one cell (uniform patches sum past 8), then overwritten."""
     width, height = draw(st.integers(1, 9)), draw(st.integers(1, 12))
     fill = draw(special_cells())
-    a = np.full((height, width), fill[0])
-    b = np.full((height, width), fill[1])
+    a = np.full((height, width), fill[0], dtype=complex)
+    b = np.full((height, width), fill[1], dtype=complex)
     for _ in range(draw(st.integers(0, width * height))):
         x, y = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
         a[y, x], b[y, x] = draw(special_cells())
-    return Grid(a, b, draw(st.sampled_from(list(Boundary))))
+    # NaN and infinite cells are refused by Grid(), so they bypass its check
+    return Grid._adopt(a, b, draw(st.sampled_from(list(Boundary))))
 
 
 def exact_bytes(z: np.ndarray) -> bytes:
@@ -426,12 +472,53 @@ def exact_bytes(z: np.ndarray) -> bytes:
 
     numpy's complex add and multiply give a NaN result a different sign bit
     in their vector and scalar loops, so the sign of a NaN depends on the
-    length of the array an operation runs on, and today's stepper already
-    gives different NaN bits for different worker counts. Every other bit,
-    signed zeros and infinities included, is compared as it is.
+    length of the array an operation runs on, and the whole-grid reference
+    runs on other lengths than the banded core. Every other bit, signed
+    zeros and infinities included, is compared as it is.
     """
     f = z.view(np.float64)
     return np.where(np.isnan(f), np.nan, f).tobytes()
+
+
+@contextlib.contextmanager
+def threads_on_every_band(cpus=8):
+    """Let the core give each thread a single band, on up to ``cpus`` threads."""
+    with mock.patch.object(rules, "_MIN_BANDS_PER_THREAD", 1), \
+            mock.patch.object(rules, "_cpu_count", return_value=cpus):
+        yield
+
+
+class TestWorkerIndependence:
+    """The band cut follows the width alone, so every worker count gives the same bits."""
+
+    @staticmethod
+    def nan_soup(boundary):
+        rng = np.random.default_rng(41)
+        g = random_grid(rng, 23, 17, boundary)
+        a, b = g.a.copy(), g.b.copy()
+        for x, y, (ca, cb) in zip(rng.integers(0, 23, 12), rng.integers(0, 17, 12),
+                                  SPECIAL_CELLS[6:] * 3):
+            a[y, x], b[y, x] = ca, cb
+        return Grid._adopt(a, b, boundary)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    # budgets of one row, two rows and several rows of the 23-wide grid
+    @pytest.mark.parametrize("band_cells", [1, 46, 200])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("stepper", [step_grid, dual_step_grid])
+    def test_nan_sign_bits_match(self, stepper, boundary, band_cells):
+        for canonical in (False, True):
+            cfg = StepConfig(canonicalize_dead_phase=canonical)
+            cur = self.nan_soup(boundary)
+            with mock.patch.object(rules, "_BAND_CELLS", band_cells), threads_on_every_band():
+                for _ in range(2):
+                    base = stepper(cur, cfg, workers=1)
+                    assert np.isnan(base.a).any() and np.isnan(base.b).any()
+                    for workers in range(2, 6):
+                        got = stepper(cur, cfg, workers=workers)
+                        assert got.a.tobytes() == base.a.tobytes()
+                        assert got.b.tobytes() == base.b.tobytes()
+                    cur = base
 
 
 class TestMatchesReference:
@@ -440,19 +527,21 @@ class TestMatchesReference:
     STEPPERS = [(step_grid, reference.ref_step_grid), (dual_step_grid, reference.ref_dual_step_grid)]
 
     def assert_same(self, g, generations=2):
-        for stepper, ref_stepper in self.STEPPERS:
-            for canonical in (False, True):
-                cfg = StepConfig(canonicalize_dead_phase=canonical)
-                cur = g
-                for _ in range(generations):
-                    expected = ref_stepper(cur, cfg)
-                    for workers in range(1, 6):
-                        got = stepper(cur, cfg, workers=workers)
-                        assert exact_bytes(got.a) == exact_bytes(expected.a)
-                        assert exact_bytes(got.b) == exact_bytes(expected.b)
-                        assert got.boundary is cur.boundary
-                        assert not (got.a.flags.writeable or got.b.flags.writeable)
-                    cur = expected
+        # one band per thread is enough, so up to five threads really run
+        with threads_on_every_band():
+            for stepper, ref_stepper in self.STEPPERS:
+                for canonical in (False, True):
+                    cfg = StepConfig(canonicalize_dead_phase=canonical)
+                    cur = g
+                    for _ in range(generations):
+                        expected = ref_stepper(cur, cfg)
+                        for workers in range(1, 6):
+                            got = stepper(cur, cfg, workers=workers)
+                            assert exact_bytes(got.a) == exact_bytes(expected.a)
+                            assert exact_bytes(got.b) == exact_bytes(expected.b)
+                            assert got.boundary is cur.boundary
+                            assert not (got.a.flags.writeable or got.b.flags.writeable)
+                        cur = expected
 
     # NaN and infinite cells make numpy warn, in the worker threads too
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

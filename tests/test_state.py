@@ -102,6 +102,26 @@ class TestGrid:
         assert g.cell(1, 0) == DEAD
         assert g2.cell(1, 0) == ALIVE
 
+    @pytest.mark.parametrize("value", [
+        complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
+        complex(0.0, -math.inf), complex(math.nan, math.inf),
+    ])
+    def test_rejects_non_finite_coefficients(self, value):
+        for a, b in (([[value]], [[1]]), ([[0, 1]], [[1, value]])):
+            with pytest.raises(ValueError, match="finite"):
+                Grid(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            Grid.dead(3, 3).with_cell(1, 1, CellState(value, 0j))
+        with pytest.raises(ValueError, match="finite"):
+            Grid.from_cells(1, 1, [CellState(1 + 0j, value)])
+
+    def test_adopt_skips_the_check(self):
+        # the steppers hand their fresh results over unchecked
+        a = np.array([[complex(math.nan, 0.0)]])
+        g = Grid._adopt(a, np.ones((1, 1), complex), Boundary.TORUS)
+        assert g.a is a and np.isnan(g.a[0, 0])
+        assert not g.a.flags.writeable
+
 
 class TestParse:
     def make(self, rows, boundary="fixed", header_extra=""):
