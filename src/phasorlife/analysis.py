@@ -206,44 +206,36 @@ class _RecurrenceMatcher:
     def _translation(self, i: int, j: int) -> tuple[int, int] | None:
         """First nonzero offset (dx, dy) that carries p_j onto p_i within tol.
 
-        Offsets move at most one cell per generation. On a torus every offset
-        is a candidate, dy outer and dx inner, except one that picks the same
-        window as an earlier candidate. On a fixed boundary the candidates are
-        the offsets around the rounded centroid displacement, in (ddy, ddx)
-        order, and an earlier map with total at most tol has no translation.
-        Each candidate is a window into one padded copy of p_j
-        (wrapped, or dead-filled), and the windows are compared in bounded
-        chunks, in order.
+        Offsets move at most one cell per generation, and the candidates are
+        a block of dy times dx, dy outer and dx inner. On a torus the block
+        runs from -lim up to the last offset whose wrapped window differs
+        from every earlier one. On a fixed boundary it is the 3x3 block
+        around the rounded centroid displacement, and an earlier map with
+        total at most tol has no translation. Each candidate is a window into
+        one padded copy of p_j (wrapped, or dead-filled), and the windows are
+        compared in bounded chunks, in order.
         """
         p_now, p_then = self.probs[i], self.probs[j]
         h, w = p_now.shape
         lim_x = min(i - j, w - 1)
         lim_y = min(i - j, h - 1)
         if self.torus:
-            # dx and dx - w (dy and dy - h) select the same wrapped window: keep the first
-            first: dict[tuple[int, int], tuple[int, int]] = {}
-            for dy in range(-lim_y, lim_y + 1):
-                for dx in range(-lim_x, lim_x + 1):
-                    first.setdefault((dx % w, dy % h), (dx, dy))
-            candidates = list(first.values())
+            # dx and dx - w (dy and dy - h) select the same wrapped window
+            dxs = range(-lim_x, min(lim_x, w - 1 - lim_x) + 1)
+            dys = range(-lim_y, min(lim_y, h - 1 - lim_y) + 1)
         else:
             if self.totals[j] <= self.tol:
                 return None
             (cx_now, cy_now), (cx_then, cy_then) = self._centroid(i), self._centroid(j)
             base_dx, base_dy = round(cx_now - cx_then), round(cy_now - cy_then)
-            candidates = [
-                (base_dx + ddx, base_dy + ddy) for ddy in (-1, 0, 1) for ddx in (-1, 0, 1)
-            ]
-        offsets = [
-            (dx, dy) for dx, dy in candidates
-            if (dx, dy) != (0, 0) and abs(dx) <= lim_x and abs(dy) <= lim_y
-        ]
+            dxs = range(max(base_dx - 1, -lim_x), min(base_dx + 1, lim_x) + 1)
+            dys = range(max(base_dy - 1, -lim_y), min(base_dy + 1, lim_y) + 1)
+        offsets = [(dx, dy) for dy in dys for dx in dxs if dx or dy]
         if not offsets:
             return None
-        dxs, dys = zip(*offsets)
         # padded[top + y, left + x] = p_then[y, x], wrapped or dead around it
-        top, left = max(0, max(dys)), max(0, max(dxs))
-        pad = ((top, max(0, -min(dys))), (left, max(0, -min(dxs))))
+        top, left = max(0, dys[-1]), max(0, dxs[-1])
+        pad = ((top, max(0, -dys[0])), (left, max(0, -dxs[0])))
         if self.torus:
             padded = np.pad(p_then, pad, mode="wrap")
         else:  # np.pad's set-up costs more than this copy on small grids
@@ -277,16 +269,10 @@ def classify(
         raise ValueError("tol must be positive and finite")
 
     fixed = g0.boundary is Boundary.FIXED_DEAD
-    g = g0
-    probs = [g.alive_probability()]
-    totals = [float(probs[0].sum())]
-    border = fixed and _touches_border(probs[0])
-    if border:
-        warnings.warn(
-            "live amplitude on the fixed boundary; the finite grid truncates the dynamics",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    probs: list[np.ndarray] = []
+    totals: list[float] = []
+    border = False
+    matcher = _RecurrenceMatcher(probs, totals, g0.boundary, tol)
 
     def report(verdict: str, t: int, **extra) -> FateReport:
         return FateReport(
@@ -298,19 +284,16 @@ def classify(
             **extra,
         )
 
-    if probs[0].max() < cfg.dead_threshold:
-        return report(VERDICT_DEAD, 0, generation=0)
-
-    matcher = _RecurrenceMatcher(probs, totals, g0.boundary, tol)
-    for t in range(1, max_gen + 1):
-        g = step_grid(g, cfg)
+    for t in range(max_gen + 1):
+        g = step_grid(g, cfg) if t else g0
         p = g.alive_probability()
         probs.append(p)
         totals.append(float(p.sum()))
         if fixed and not border and _touches_border(p):
             border = True
             warnings.warn(
-                "live amplitude reached the fixed boundary; the finite grid truncates the dynamics",
+                f"live amplitude {'reached' if t else 'on'} the fixed boundary; "
+                "the finite grid truncates the dynamics",
                 RuntimeWarning,
                 stacklevel=2,
             )

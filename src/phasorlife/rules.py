@@ -27,13 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import Boundary, CellState, Grid, normalize
+from .state import ZERO_NORM, Boundary, CellState, Grid, normalize
 
 SQRT2_PLUS_1 = math.sqrt(2.0) + 1.0
 PHASE_EPS = 1e-12  # below this sum magnitude the phase is defined as 0
 # Summing eight unit phasors can round a few ulps past 8; such sums count as 8.
 A_ROUNDING_SLACK = 8 * math.ulp(8.0)
-ZERO_NORM = 1e-9
 
 # Fixed accumulation order keeps scalar and vectorized neighbor sums bit-identical.
 _OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
@@ -160,9 +159,9 @@ def step_cell(c: CellState, ns: NeighborSum, cfg: StepConfig = DEFAULT_CONFIG) -
 # it if it wakes before the holder's next call returns; at half this size, two
 # threads block on the GIL more than twice as often, for under 5% one-thread gain.
 _BAND_CELLS = 1 << 15
-# Bands each thread must have before a step is shared out: each thread's band
-# temporaries take their own few MiB, which only pays off on large grids.
-_MIN_BANDS_PER_THREAD = 8
+# One thread per 2**17 cells (4 bands): each thread's band temporaries take
+# their own few MiB, and a second thread already pays off on a 512x512 grid.
+_MIN_BANDS_PER_THREAD = (1 << 17) // _BAND_CELLS
 
 
 def _cpu_count() -> int:
@@ -318,4 +317,4 @@ def dual_step_grid(
 
 def swap_components(g: Grid) -> Grid:
     """Exchange the alive and dead coefficients of every cell."""
-    return Grid(g.b, g.a, g.boundary)
+    return Grid._adopt(g.b, g.a, g.boundary)

@@ -88,7 +88,10 @@ class Grid:
 
     @classmethod
     def _adopt(cls, a: np.ndarray, b: np.ndarray, boundary: Boundary) -> "Grid":
-        """Grid over fresh equal-shaped 2-D complex128 arrays, taken without a copy or a check."""
+        """Grid over equal-shaped 2-D complex128 arrays that nothing writes.
+
+        The arrays are taken without a copy or a check and made read-only.
+        """
         a.setflags(write=False)
         b.setflags(write=False)
         g = cls.__new__(cls)
@@ -159,7 +162,7 @@ class Grid:
         return Grid(a, b, self._boundary)
 
     def with_boundary(self, boundary: Boundary) -> "Grid":
-        return Grid(self._a, self._b, boundary)
+        return Grid._adopt(self._a, self._b, boundary)
 
     def alive_probability(self) -> np.ndarray:
         """Per-cell |a|^2 as a float array indexed [y, x]."""

@@ -34,10 +34,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from phasorlife import rules
 from phasorlife import (
     Boundary,
     CellState,
@@ -381,12 +383,17 @@ class TestCriterion9InvariantSuites:
     def test_parallel_determinism_bit_exact(self):
         rng = np.random.default_rng(96)
         exact = True
-        for i in range(250):
-            g = random_grid(rng, 8, 8, Boundary.TORUS if i % 2 else Boundary.FIXED_DEAD)
-            base = step_grid(g, workers=1)
-            for workers in (2, 3, 8):
-                other = step_grid(g, workers=workers)
-                if not (np.array_equal(base.a, other.a) and np.array_equal(base.b, other.b)):
-                    exact = False
+        # one-row bands, one band per thread and 8 CPUs: every worker count
+        # below really runs that many threads on the 8x8 grids
+        with mock.patch.object(rules, "_BAND_CELLS", 8), \
+                mock.patch.object(rules, "_MIN_BANDS_PER_THREAD", 1), \
+                mock.patch.object(rules, "_cpu_count", return_value=8):
+            for i in range(250):
+                g = random_grid(rng, 8, 8, Boundary.TORUS if i % 2 else Boundary.FIXED_DEAD)
+                base = step_grid(g, workers=1)
+                for workers in (2, 3, 8):
+                    other = step_grid(g, workers=workers)
+                    if not (np.array_equal(base.a, other.a) and np.array_equal(base.b, other.b)):
+                        exact = False
         report(9, exact, "parallel determinism: 250 grids x worker counts {1,2,3,8}, bit-exact")
         assert exact

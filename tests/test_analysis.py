@@ -201,9 +201,20 @@ class TestClassify:
 
     def test_border_contact_warns(self):
         g = lifted(4, 4, [(0, 0), (1, 0), (0, 1), (1, 1)])
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="^live amplitude on the fixed boundary; ") as seen:
             report = classify(g)
+        assert len(seen) == 1
         assert report.border_contact
+
+    def test_later_border_contact_warns_once(self):
+        # the blinker starts inside the 5x3 grid and its vertical phase
+        # reaches the top and bottom rows at generation 1
+        g = lifted(5, 3, [(1, 1), (2, 1), (3, 1)])
+        with pytest.warns(RuntimeWarning,
+                          match="^live amplitude reached the fixed boundary; ") as seen:
+            report = classify(g)
+        assert len(seen) == 1
+        assert report.border_contact and report.verdict == "oscillator"
 
     @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
     def test_rejects_bad_tol(self, tol):

@@ -110,7 +110,9 @@ class TestAnalyze:
         sqp = tmp_path / "line.sqp"
         sqp.write_text("version 1\nsize 4 3\nboundary fixed\ncells\n"
                        ". . . .\n> > > >\n. . . .\n")
-        fixed = self.run_json(capsys, "--pattern", str(sqp))
+        # the row runs into both side columns of the fixed grid
+        with pytest.warns(RuntimeWarning, match="^live amplitude on the fixed boundary; "):
+            fixed = self.run_json(capsys, "--pattern", str(sqp))
         torus = self.run_json(capsys, "--pattern", str(sqp), "--boundary", "torus")
         assert fixed["verdict"] != torus["verdict"] or fixed["generation"] != torus.get("generation")
 

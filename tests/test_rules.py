@@ -356,6 +356,28 @@ class TestStepGrid:
                 assert other.a.tobytes() == base.a.tobytes()
                 assert other.b.tobytes() == base.b.tobytes()
 
+    def test_second_thread_from_512_squared(self):
+        # one thread per 2**17 cells: a 512x512 grid is 8 bands and takes
+        # two threads on two CPUs, a 256x256 grid is 2 bands and takes one
+        helpers = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers)
+                helpers.append(max_workers)
+
+        with mock.patch.object(rules, "ThreadPoolExecutor", RecordingPool), \
+                mock.patch.object(rules, "_cpu_count", return_value=2):
+            for side, expected in ((512, [1]), (256, [])):
+                g = random_grid(np.random.default_rng(16), side, side, Boundary.TORUS)
+                base = step_grid(g, workers=1)
+                assert not helpers
+                got = step_grid(g)
+                assert helpers == expected
+                assert got.a.tobytes() == base.a.tobytes()
+                assert got.b.tobytes() == base.b.tobytes()
+                helpers.clear()
+
     @pytest.mark.parametrize("workers", [0, -1, True, False, 2.0, "2"])
     @pytest.mark.parametrize("stepper", [step_grid, dual_step_grid])
     def test_rejects_bad_worker_counts(self, stepper, workers):
@@ -407,6 +429,17 @@ class TestDuality:
         rhs = dual_step_grid(swap_components(g))
         assert np.max(np.abs(lhs.a - rhs.a)) < 1e-9
         assert np.max(np.abs(lhs.b - rhs.b)) < 1e-9
+
+    def test_swap_keeps_non_finite_cells(self):
+        # step_grid steps grids with NaN cells, which Grid() would refuse
+        a = np.array([[complex(math.nan, 1.0)]])
+        b = np.array([[complex(-0.0, math.inf)]])
+        g = Grid._adopt(a, b, Boundary.TORUS)
+        swapped = swap_components(g)
+        assert swapped.a is g.b and swapped.b is g.a
+        back = swap_components(swapped)
+        assert back.a.tobytes() == a.tobytes() and back.b.tobytes() == b.tobytes()
+        assert not back.a.flags.writeable and not back.b.flags.writeable
 
     def test_all_alive_fixed_point(self):
         # the dual image of an empty grid is all-alive and maps to itself

@@ -115,6 +115,14 @@ class TestGrid:
         with pytest.raises(ValueError, match="finite"):
             Grid.from_cells(1, 1, [CellState(1 + 0j, value)])
 
+    def test_with_boundary_shares_the_arrays(self):
+        g = Grid.dead(3, 2)
+        torus = g.with_boundary(Boundary.TORUS)
+        assert torus.boundary is Boundary.TORUS and g.boundary is Boundary.FIXED_DEAD
+        assert np.shares_memory(torus.a, g.a) and np.shares_memory(torus.b, g.b)
+        assert not torus.a.flags.writeable and not torus.b.flags.writeable
+        assert torus.with_boundary(Boundary.FIXED_DEAD) == g
+
     def test_adopt_skips_the_check(self):
         # the steppers hand their fresh results over unchecked
         a = np.array([[complex(math.nan, 0.0)]])
