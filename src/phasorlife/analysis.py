@@ -291,12 +291,11 @@ def classify(
         totals.append(float(p.sum()))
         if fixed and not border and _touches_border(p):
             border = True
-            warnings.warn(
-                f"live amplitude {'reached' if t else 'on'} the fixed boundary; "
-                "the finite grid truncates the dynamics",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            if t:
+                msg = "live amplitude reached the fixed boundary; the finite grid truncates the dynamics"
+            else:
+                msg = "live amplitude on the fixed boundary; the finite grid truncates the dynamics"
+            warnings.warn(msg, RuntimeWarning, stacklevel=2)
         if p.max() < cfg.dead_threshold:
             return report(VERDICT_DEAD, t, generation=t)
         found = matcher.advance()

@@ -159,9 +159,9 @@ def step_cell(c: CellState, ns: NeighborSum, cfg: StepConfig = DEFAULT_CONFIG) -
 # it if it wakes before the holder's next call returns; at half this size, two
 # threads block on the GIL more than twice as often, for under 5% one-thread gain.
 _BAND_CELLS = 1 << 15
-# One thread per 2**17 cells (4 bands): each thread's band temporaries take
-# their own few MiB, and a second thread already pays off on a 512x512 grid.
-_MIN_BANDS_PER_THREAD = (1 << 17) // _BAND_CELLS
+# Bands each thread must have before a step is shared out: each thread's band
+# temporaries take their own few MiB, which only pays off on large grids.
+_MIN_BANDS_PER_THREAD = 8
 
 
 def _cpu_count() -> int:

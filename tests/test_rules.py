@@ -356,9 +356,9 @@ class TestStepGrid:
                 assert other.a.tobytes() == base.a.tobytes()
                 assert other.b.tobytes() == base.b.tobytes()
 
-    def test_second_thread_from_512_squared(self):
-        # one thread per 2**17 cells: a 512x512 grid is 8 bands and takes
-        # two threads on two CPUs, a 256x256 grid is 2 bands and takes one
+    def test_second_thread_from_16_bands(self):
+        # one thread per 8 bands: on two CPUs a 1024x512 grid (16 bands of
+        # 32 rows) takes two threads, a 512x512 grid (8 bands) takes one
         helpers = []
 
         class RecordingPool(ThreadPoolExecutor):
@@ -368,8 +368,8 @@ class TestStepGrid:
 
         with mock.patch.object(rules, "ThreadPoolExecutor", RecordingPool), \
                 mock.patch.object(rules, "_cpu_count", return_value=2):
-            for side, expected in ((512, [1]), (256, [])):
-                g = random_grid(np.random.default_rng(16), side, side, Boundary.TORUS)
+            for w, h, expected in ((1024, 512, [1]), (512, 512, [])):
+                g = random_grid(np.random.default_rng(16), w, h, Boundary.TORUS)
                 base = step_grid(g, workers=1)
                 assert not helpers
                 got = step_grid(g)
