@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,17 +51,7 @@ class FateReport:
         return self.verdict in STABLE_VERDICTS
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "generation": self.generation,
-            "period": self.period,
-            "dx": self.dx,
-            "dy": self.dy,
-            "generations_run": self.generations_run,
-            "max_alive_probability_final": self.max_alive_probability_final,
-            "alive_probability_history": list(self.alive_probability_history),
-            "border_contact": self.border_contact,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -17,16 +17,22 @@ import numpy as np
 
 from .analysis import classify, sweep_phase
 from .oracle import conway_step, project
-from .render import RenderMode, render_ascii, render_csv, render_ppm
+from .render import render_ascii, render_csv, render_ppm
 from .rules import StepConfig, step_grid
-from .state import Boundary, Grid, PatternDocument, PatternError, parse_pattern
+from .state import Boundary, PatternDocument, PatternError, parse_pattern
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_CHECK = 3
 
-_FRAME_SUFFIX = {RenderMode.ASCII_ARROWS: "txt", RenderMode.IMAGE_PPM: "ppm", RenderMode.CSV: "csv"}
+# --format value -> (frame file suffix, frame bytes of a grid). The renderers are
+# looked up when a frame is written, so replacing cli.render_* takes effect.
+_FRAMES = {
+    "ascii": ("txt", lambda g: render_ascii(g).encode("utf-8")),
+    "ppm": ("ppm", lambda g: render_ppm(g)),
+    "csv": ("csv", lambda g: render_csv(g).encode("utf-8")),
+}
 
 
 class _UsageError(Exception):
@@ -43,7 +49,7 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pattern", required=True, help="path to a .sqp pattern file")
     p.add_argument(
         "--boundary",
-        choices=["fixed", "torus"],
+        choices=[b.value for b in Boundary],
         default=None,
         help="override the pattern's boundary policy",
     )
@@ -72,7 +78,7 @@ def build_parser() -> _Parser:
     _add_shared(run)
     run.add_argument("--generations", type=int, default=10, help="number of steps to run")
     run.add_argument("--output", default="frames", help="directory for frame files")
-    run.add_argument("--format", choices=["ascii", "ppm", "csv"], default="ascii",
+    run.add_argument("--format", choices=list(_FRAMES), default="ascii",
                      help="frame file format")
 
     analyze = sub.add_parser("analyze", formatter_class=fmt,
@@ -112,25 +118,13 @@ def _load(path: str, boundary_override: str | None) -> PatternDocument:
     return doc
 
 
-def _write_frame(outdir: Path, gen: int, g: Grid, mode: RenderMode) -> None:
-    path = outdir / f"gen_{gen:05d}.{_FRAME_SUFFIX[mode]}"
-    if mode is RenderMode.IMAGE_PPM:
-        path.write_bytes(render_ppm(g))
-    elif mode is RenderMode.CSV:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_csv(g))
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_ascii(g))
-
-
 def _cmd_run(doc: PatternDocument, cfg: StepConfig, args: argparse.Namespace) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    mode = RenderMode(args.format)
+    suffix, frame = _FRAMES[args.format]
     g = doc.grid
     for gen in range(args.generations + 1):
-        _write_frame(outdir, gen, g, mode)
+        (outdir / f"gen_{gen:05d}.{suffix}").write_bytes(frame(g))
         if gen < args.generations:
             g = step_grid(g, cfg)
     print(f"final total alive probability: {g.total_alive_probability():.17g}")
@@ -232,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         doc = _load(args.pattern, args.boundary)
-    except (OSError, PatternError) as exc:
+    except (OSError, PatternError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -21,6 +21,8 @@ class BoolGrid:
         arr = np.array(alive, dtype=bool)
         if arr.ndim != 2 or min(arr.shape) < 1:
             raise ValueError("alive array must be 2-D with positive dimensions")
+        if not isinstance(boundary, Boundary):
+            raise ValueError(f"boundary must be a Boundary, got {boundary!r}")
         arr.setflags(write=False)
         self._alive = arr
         self._boundary = boundary

@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -22,12 +21,6 @@ STRONG_AMPLITUDE = 0.9
 # with |a| >= 0.9, double-stroke arrows mark partial amplitudes.
 STRONG_ARROWS = "→↗↑↖←↙↓↘"
 FAINT_ARROWS = "⇒⇗⇑⇖⇐⇙⇓⇘"
-
-
-class RenderMode(Enum):
-    ASCII_ARROWS = "ascii"
-    IMAGE_PPM = "ppm"
-    CSV = "csv"
 
 
 @dataclass(frozen=True)

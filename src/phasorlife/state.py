@@ -64,8 +64,9 @@ class Grid:
     """Rectangular array of cells plus a boundary policy.
 
     Coefficients live in two read-only complex arrays indexed ``[y, x]``;
-    construction refuses NaN and infinite ones. Grids are immutable values;
-    steppers and editors return new instances.
+    construction refuses NaN and infinite ones, and a boundary that is not a
+    ``Boundary``. Grids are immutable values; steppers and editors return new
+    instances.
     """
 
     __slots__ = ("_a", "_b", "_boundary")
@@ -80,6 +81,8 @@ class Grid:
         # checking the float parts is twice as fast as complex isfinite
         if not (np.isfinite(aa.view(np.float64)).all() and np.isfinite(bb.view(np.float64)).all()):
             raise ValueError("coefficients must be finite")
+        if not isinstance(boundary, Boundary):
+            raise ValueError(f"boundary must be a Boundary, got {boundary!r}")
         aa.setflags(write=False)
         bb.setflags(write=False)
         self._a = aa
@@ -162,6 +165,8 @@ class Grid:
         return Grid(a, b, self._boundary)
 
     def with_boundary(self, boundary: Boundary) -> "Grid":
+        if not isinstance(boundary, Boundary):
+            raise ValueError(f"boundary must be a Boundary, got {boundary!r}")
         return Grid._adopt(self._a, self._b, boundary)
 
     def alive_probability(self) -> np.ndarray:
@@ -365,18 +370,14 @@ def parse_pattern(text: str) -> PatternDocument:
     return PatternDocument(grid=grid, version=version, name=name, comment=comment)
 
 
-def _cell_token(c: CellState) -> str:
-    a = c.a
-    if a == 0:
-        return "."
-    if a == 1:
-        return ">"
-    if a == -1:
-        return "<"
-    if a == 1j:
-        return "^"
-    if a == -1j:
-        return "v"
+_CELL_GLYPHS = {cell.a: glyph for glyph, cell in _GLYPH_CELLS.items()}
+
+
+def _cell_token(a: complex) -> str:
+    # dict lookup compares complex keys with ==, so signed zeros find their glyph
+    glyph = _CELL_GLYPHS.get(a)
+    if glyph is not None:
+        return glyph
     # amp may exceed 1 by an ulp on normalized cells; clamp so the token re-parses
     amp = min(abs(a), 1.0)
     deg = math.degrees(cmath.phase(a))
@@ -388,18 +389,20 @@ def serialize_pattern(doc: PatternDocument) -> str:
 
     Only the a coefficient of each cell is preserved; b is re-derived as the
     nonnegative real complement on parse. Re-parsing reproduces every a within
-    1e-9 (exactly, for glyph tokens).
+    1e-9 (exactly, for glyph tokens). A name or comment holding a line break
+    raises ValueError, since the file could not be read back.
     """
     g = doc.grid
     lines: list[str] = []
-    if doc.name:
-        lines.append(f"# name: {doc.name}")
-    if doc.comment:
-        lines.append(f"# comment: {doc.comment}")
+    for label, value in (("name", doc.name), ("comment", doc.comment)):
+        if value:
+            if value.splitlines() != [value]:
+                raise ValueError(f"pattern {label} must not hold a line break: {value!r}")
+            lines.append(f"# {label}: {value}")
     lines.append(f"version {doc.version}")
     lines.append(f"size {g.width} {g.height}")
     lines.append(f"boundary {g.boundary.value}")
     lines.append("cells")
-    for y in range(g.height):
-        lines.append(" ".join(_cell_token(g.cell(x, y)) for x in range(g.width)))
+    for row in g.a.tolist():
+        lines.append(" ".join(map(_cell_token, row)))
     return "\n".join(lines) + "\n"

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from phasorlife import FateReport, parse_pattern, render_ascii, render_csv, render_ppm
 from phasorlife.cli import main
 from conftest import PATTERNS_DIR
 
@@ -61,11 +63,32 @@ class TestRun:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_utf8_pattern_is_io_error(self, tmp_path, capsys):
+        sqp = tmp_path / "latin1.sqp"
+        sqp.write_bytes(b"# name: caf\xe9\nversion 1\nsize 1 1\nboundary fixed\ncells\n.\n")
+        rc = main(["analyze", "--pattern", str(sqp)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_malformed_pattern_is_io_error(self, tmp_path, capsys):
         sqp = tmp_path / "bad.sqp"
         sqp.write_text("version 1\nsize 2 1\nboundary fixed\ncells\n. ?\n")
         rc = main(["run", "--pattern", str(sqp)])
         assert rc == 2
+
+    @pytest.mark.parametrize("fmt,suffix,frame", [
+        ("ascii", "txt", lambda g: render_ascii(g).encode("utf-8")),
+        ("ppm", "ppm", render_ppm),
+        ("csv", "csv", lambda g: render_csv(g).encode("utf-8")),
+    ])
+    def test_frame_is_the_renderers_bytes(self, tmp_path, fmt, suffix, frame):
+        out = tmp_path / "frames"
+        rc = main(["run", "--pattern", pattern("block_phase_quarter.sqp"), "--generations", "0",
+                   "--output", str(out), "--format", fmt])
+        assert rc == 0
+        assert [p.name for p in out.iterdir()] == [f"gen_00000.{suffix}"]
+        doc = parse_pattern((PATTERNS_DIR / "block_phase_quarter.sqp").read_text(encoding="utf-8"))
+        assert (out / f"gen_00000.{suffix}").read_bytes() == frame(doc.grid)
 
     def test_bad_flag_is_usage_error(self, capsys):
         rc = main(["run", "--pattern", pattern("block.sqp"), "--format", "jpeg"])
@@ -99,6 +122,10 @@ class TestAnalyze:
         data = self.run_json(capsys, "--pattern", pattern("blinker.sqp"))
         assert data["verdict"] == "oscillator"
         assert data["period"] == 2
+
+    def test_keys_are_the_report_fields(self, capsys):
+        data = self.run_json(capsys, "--pattern", pattern("blinker.sqp"))
+        assert sorted(data) == sorted(f.name for f in dataclasses.fields(FateReport))
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_is_usage_error(self, capsys, tol):

@@ -39,6 +39,10 @@ class TestConwayStep:
         g = BoolGrid.dead(4, 4)
         assert conway_step(g) == g
 
+    def test_rejects_a_boundary_that_is_not_a_boundary(self):
+        with pytest.raises(ValueError, match="Boundary"):
+            BoolGrid(np.ones((3, 3), dtype=bool), "torus")
+
     def test_torus_wrap(self):
         # blinker crossing the seam of a torus still oscillates
         g = bool_grid(5, 5, [(4, 2), (0, 2), (1, 2)], Boundary.TORUS)

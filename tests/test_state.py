@@ -115,6 +115,13 @@ class TestGrid:
         with pytest.raises(ValueError, match="finite"):
             Grid.from_cells(1, 1, [CellState(1 + 0j, value)])
 
+    def test_rejects_a_boundary_that_is_not_a_boundary(self):
+        # a keyword string stepped as fixed-dead: a 3x3 torus of live cells kept total 4.0
+        with pytest.raises(ValueError, match="Boundary"):
+            Grid(np.ones((3, 3)), np.zeros((3, 3)), "torus")
+        with pytest.raises(ValueError, match="Boundary"):
+            Grid.dead(3, 3).with_boundary("torus")
+
     def test_with_boundary_shares_the_arrays(self):
         g = Grid.dead(3, 2)
         torus = g.with_boundary(Boundary.TORUS)
@@ -208,10 +215,23 @@ class TestParse:
 
 class TestSerialize:
     def test_glyphs_where_exact(self):
-        g = Grid.from_cells(5, 1, [DEAD, ALIVE, CellState(-1 + 0j, 0j),
-                                   CellState(1j, 0j), CellState(-1j, 0j)])
+        g = Grid.from_cells(8, 1, [DEAD, ALIVE, CellState(-1 + 0j, 0j),
+                                   CellState(1j, 0j), CellState(-1j, 0j),
+                                   CellState(complex(-0.0, 0.0), 1 + 0j),
+                                   CellState(complex(1, -0.0), 0j),
+                                   CellState(complex(-0.0, -1), 0j)])
         text = serialize_pattern(PatternDocument(grid=g))
-        assert text.splitlines()[-1] == ". > < ^ v"
+        assert text.splitlines()[-1] == ". > < ^ v . > v"
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_rejects_a_line_break_in_name_or_comment(self, brk):
+        # text with such a break would not parse back: the break ends the comment line
+        g = Grid.dead(1, 1)
+        with pytest.raises(ValueError, match="line break"):
+            serialize_pattern(PatternDocument(grid=g, name=f"two{brk}lines"))
+        with pytest.raises(ValueError, match="line break"):
+            serialize_pattern(PatternDocument(grid=g, comment=f"{brk}trailing"))
 
     def test_amp_deg_fallback(self):
         c = normalize(0.5 * cmath.exp(1j * 0.7), 0.9j)
