@@ -367,11 +367,11 @@ def measure_burn_rate(
     BurnRateUnmeasurable when the pattern dies before three frames exist.
     """
     cfg = cfg or DEFAULT_CONFIG
-    g = doc.grid
     extents: list[int] = []
     axis: str | None = None
     died = False
-    for _ in range(max_gen + 1):
+    for t in range(max_gen + 1):
+        g = step_grid(g, cfg) if t else doc.grid
         p = g.alive_probability()
         mask = p > cfg.dead_threshold
         if not mask.any():
@@ -383,7 +383,6 @@ def measure_burn_rate(
         if axis is None:
             axis = "x" if ext_x >= ext_y else "y"
         extents.append(ext_x if axis == "x" else ext_y)
-        g = step_grid(g, cfg)
     if died and len(extents) < 3:
         raise BurnRateUnmeasurable(
             f"pattern died after {len(extents)} frames; no rate to fit"

@@ -8,6 +8,7 @@ invocations produce byte-identical files and stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -110,11 +111,9 @@ def build_parser() -> _Parser:
 
 
 def _load(path: str, boundary_override: str | None) -> PatternDocument:
-    text = Path(path).read_text(encoding="utf-8")
-    doc = parse_pattern(text)
+    doc = parse_pattern(Path(path).read_text(encoding="utf-8"))
     if boundary_override is not None:
-        grid = doc.grid.with_boundary(Boundary(boundary_override))
-        doc = PatternDocument(grid=grid, version=doc.version, name=doc.name, comment=doc.comment)
+        doc = dataclasses.replace(doc, grid=doc.grid.with_boundary(Boundary(boundary_override)))
     return doc
 
 
@@ -190,54 +189,35 @@ _COMMANDS = {
 }
 
 
-def _validate(args: argparse.Namespace) -> str | None:
+def _validate(args: argparse.Namespace) -> None:
     if args.generations < 0:
-        return "generations must be >= 0"
+        raise _UsageError("generations must be >= 0")
     if args.command == "analyze" and args.generations < 1:
-        return "analyze needs at least one generation"
+        raise _UsageError("analyze needs at least one generation")
     if args.command == "sweep":
         if args.steps < 1:
-            return "steps must be >= 1"
+            raise _UsageError("steps must be >= 1")
         if args.steps > 1 and args.phase_end <= args.phase_start:
-            return "phase-end must exceed phase-start"
-    return None
+            raise _UsageError("phase-end must exceed phase-start")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    problem = _validate(args)
-    if problem is not None:
-        print(f"usage error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
+        _validate(args)  # before the pattern is read: usage errors win over a missing file
         cfg = StepConfig(
             canonicalize_dead_phase=args.canonicalize_dead_phase,
             dead_threshold=args.dead_threshold,
         )
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
         doc = _load(args.pattern, args.boundary)
+        return _COMMANDS[args.command](doc, cfg, args)
+    # PatternError and UnicodeDecodeError are ValueErrors, so this clause must come first
     except (OSError, PatternError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-    try:
-        return _COMMANDS[args.command](doc, cfg, args)
-    except (IndexError, ValueError) as exc:
+    except (_UsageError, IndexError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

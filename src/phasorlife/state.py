@@ -316,7 +316,7 @@ def parse_pattern(text: str) -> PatternDocument:
     fields = line.split()
     if not fields or fields[0] != "version":
         raise PatternError(f"expected 'version', got {fields[0]!r}", lineno)
-    if len(fields) != 2 or not fields[1].isdigit():
+    if len(fields) != 2 or not fields[1].isdecimal():  # int() rejects digits such as '²'
         raise PatternError("malformed version header", lineno)
     version = int(fields[1])
     if version != 1:
@@ -389,17 +389,24 @@ def serialize_pattern(doc: PatternDocument) -> str:
 
     Only the a coefficient of each cell is preserved; b is re-derived as the
     nonnegative real complement on parse. Re-parsing reproduces every a within
-    1e-9 (exactly, for glyph tokens). A name or comment holding a line break
-    raises ValueError, since the file could not be read back.
+    1e-9 (exactly, for glyph tokens). A version other than 1, or a name or
+    comment holding a line break or surrounding whitespace, raises ValueError,
+    since the file could not be read back as it was. An empty name or comment
+    is written as absent.
     """
+    if doc.version != 1:
+        raise ValueError(f"unsupported pattern version {doc.version}")
     g = doc.grid
     lines: list[str] = []
     for label, value in (("name", doc.name), ("comment", doc.comment)):
         if value:
-            if value.splitlines() != [value]:
-                raise ValueError(f"pattern {label} must not hold a line break: {value!r}")
+            # the parser ends the line at any break and strips the text
+            if value.strip().splitlines() != [value]:
+                raise ValueError(
+                    f"pattern {label} must be one line without surrounding whitespace: {value!r}"
+                )
             lines.append(f"# {label}: {value}")
-    lines.append(f"version {doc.version}")
+    lines.append("version 1")
     lines.append(f"size {g.width} {g.height}")
     lines.append(f"boundary {g.boundary.value}")
     lines.append("cells")

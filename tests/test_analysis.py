@@ -473,3 +473,9 @@ class TestBurnRate:
         doc = load_pattern("block_phase_pi.sqp")
         with pytest.raises(BurnRateUnmeasurable):
             measure_burn_rate(doc)
+
+    def test_steps_only_between_frames(self):
+        # max_gen + 1 frames need max_gen steps
+        with mock.patch.object(analysis, "step_grid", wraps=analysis.step_grid) as step:
+            measure_burn_rate(load_pattern("block.sqp"), max_gen=5)
+        assert step.call_count == 5

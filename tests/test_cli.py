@@ -3,6 +3,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -216,3 +219,37 @@ class TestHelp:
         text = capsys.readouterr().out
         assert "default: 200" in text
         assert "1e-06" in text
+
+
+class TestExitPaths:
+    # usage is checked before the pattern is read, so the last two exit 1 on a missing file
+    @pytest.mark.parametrize("argv,code", [
+        (["run", "--pattern", "{block}", "--output", "{taken}"], 2),
+        (["sweep", "--pattern", "{block}", "--cell", "9", "0"], 1),
+        (["analyze", "--pattern", "{block}", "--generations", "0"], 1),
+        (["sweep", "--pattern", "{missing}", "--cell", "3", "3", "--steps", "0"], 1),
+        (["run", "--pattern", "{missing}", "--dead-threshold", "0.9"], 1),
+    ], ids=["output-is-a-file", "cell-off-grid", "analyze-zero-generations",
+            "sweep-zero-steps-before-missing-pattern", "dead-threshold-before-missing-pattern"])
+    def test_exit_code(self, tmp_path, capsys, argv, code):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        paths = {"block": pattern("block.sqp"), "taken": str(taken),
+                 "missing": str(tmp_path / "nope.sqp")}
+        assert main([arg.format(**paths) for arg in argv]) == code
+        assert capsys.readouterr().err.startswith("usage error: " if code == 1 else "error: ")
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv,code", [
+        (["oracle-check", "--pattern", pattern("glider.sqp"), "--generations", "5"], 0),
+        (["run", "--pattern", pattern("block.sqp"), "--format", "jpeg"], 1),
+        (["run", "--pattern", "nope.sqp"], 2),
+    ])
+    def test_exit_code_reaches_the_shell(self, tmp_path, argv, code):
+        src = str(PATTERNS_DIR.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "phasorlife", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr

@@ -200,9 +200,11 @@ class TestParse:
         with pytest.raises(PatternError, match="unknown boundary keyword"):
             parse_pattern("version 1\nsize 1 1\nboundary moebius\ncells\n.\n")
 
-    def test_bad_version(self):
+    @pytest.mark.parametrize("version", ["2", "\u00b2"])
+    def test_bad_version(self, version):
+        # '\u00b2' passes str.isdigit but not int(): it must still be a PatternError
         with pytest.raises(PatternError, match="version"):
-            parse_pattern("version 2\nsize 1 1\nboundary fixed\ncells\n.\n")
+            parse_pattern(f"version {version}\nsize 1 1\nboundary fixed\ncells\n.\n")
 
     def test_missing_rows(self):
         with pytest.raises(PatternError, match="unexpected end"):
@@ -223,15 +225,27 @@ class TestSerialize:
         text = serialize_pattern(PatternDocument(grid=g))
         assert text.splitlines()[-1] == ". > < ^ v . > v"
 
-    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
-                                     "\x85", "\u2028", "\u2029"])
-    def test_rejects_a_line_break_in_name_or_comment(self, brk):
-        # text with such a break would not parse back: the break ends the comment line
+    @pytest.mark.parametrize("value", [
+        *(f"two{brk}lines" for brk in ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                       "\x85", "\u2028", "\u2029"]),
+        "trailing\n", " padded", "padded ", "\tpadded",
+    ])
+    def test_rejects_a_line_break_in_name_or_comment(self, value):
+        # such text would not parse back: a break ends the comment line, and the parser strips it
         g = Grid.dead(1, 1)
-        with pytest.raises(ValueError, match="line break"):
-            serialize_pattern(PatternDocument(grid=g, name=f"two{brk}lines"))
-        with pytest.raises(ValueError, match="line break"):
-            serialize_pattern(PatternDocument(grid=g, comment=f"{brk}trailing"))
+        with pytest.raises(ValueError, match="must be one line without surrounding whitespace"):
+            serialize_pattern(PatternDocument(grid=g, name=value))
+        with pytest.raises(ValueError, match="must be one line without surrounding whitespace"):
+            serialize_pattern(PatternDocument(grid=g, comment=value))
+
+    def test_empty_name_is_written_as_absent(self):
+        doc = parse_pattern("# name:\nversion 1\nsize 1 1\nboundary fixed\ncells\n.\n")
+        assert doc.name == ""
+        assert serialize_pattern(doc) == "version 1\nsize 1 1\nboundary fixed\ncells\n.\n"
+
+    def test_rejects_a_version_the_parser_rejects(self):
+        with pytest.raises(ValueError, match="unsupported pattern version 2"):
+            serialize_pattern(PatternDocument(grid=Grid.dead(1, 1), version=2))
 
     def test_amp_deg_fallback(self):
         c = normalize(0.5 * cmath.exp(1j * 0.7), 0.9j)
