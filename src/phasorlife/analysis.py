@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -63,23 +64,6 @@ class SweepResult:
     critical_angle_estimate: float | None
 
 
-def grid_distance(g1: Grid, g2: Grid, *, phase_sensitive: bool = False) -> float:
-    """Distance between two grids of equal dimensions.
-
-    Default mode compares alive-probability maps (max over cells of the
-    absolute difference of |a|^2), which is insensitive to phases. The
-    phase-sensitive mode aligns one global phase and compares the a
-    coefficients directly, for strict still-life certification.
-    """
-    if g1.a.shape != g2.a.shape:
-        raise ValueError("grid dimensions differ")
-    if not phase_sensitive:
-        return float(np.max(np.abs(np.abs(g1.a) ** 2 - np.abs(g2.a) ** 2)))
-    corr = complex(np.sum(g1.a * np.conj(g2.a)))
-    rot = corr / abs(corr) if abs(corr) > 1e-15 else 1.0 + 0j
-    return float(np.max(np.abs(g1.a - rot * g2.a)))
-
-
 def _touches_border(probs: np.ndarray) -> bool:
     return bool(
         (probs[0, :] > BORDER_EPS).any()
@@ -116,18 +100,24 @@ class _RecurrenceMatcher:
     match, and is kept for one generation to confirm the next pair.
     """
 
-    def __init__(self, probs: list[np.ndarray], totals: list[float], boundary: Boundary,
-                 tol: float) -> None:
-        self.probs = probs  # classify appends one map and one total per generation
-        self.totals = totals
+    def __init__(self, boundary: Boundary, tol: float) -> None:
+        self.probs: list[np.ndarray] = []  # one alive-probability map per generation
+        self.totals: list[float] = []
         self.torus = boundary is Boundary.TORUS
         self.tol = tol
         self.stationary = np.zeros(0, dtype=bool)  # newest generation vs each earlier one
         self.shifts: dict[int, tuple[int, int] | None] = {}  # j -> offset of (newest, j)
         self.centroids: dict[int, tuple[float, float]] = {}
 
-    def advance(self) -> tuple[int, tuple[int, int]] | None:
-        """Smallest period (and offset) confirmed at the newest two generations."""
+    def append(self, p: np.ndarray) -> None:
+        """Add the next generation's map to the history, without matching it."""
+        self.probs.append(p)
+        self.totals.append(float(p.sum()))
+
+    def advance(self, p: np.ndarray) -> tuple[int, tuple[int, int]] | None:
+        """Add the next generation's map; return the smallest period (and
+        offset) confirmed at the newest two generations."""
+        self.append(p)
         t = len(self.probs) - 1
         totals = np.array(self.totals)
         stat_prev, self.stationary = self.stationary, self._stationary(t, totals)
@@ -239,6 +229,19 @@ class _RecurrenceMatcher:
         return None
 
 
+def evolve(g0: Grid, cfg: StepConfig, generations: int) -> Iterator[Grid]:
+    """Generation 0 (g0 itself), then generations 1 .. generations.
+
+    Each later grid is one ``step_grid`` of the one before, taken only when
+    the caller asks for it.
+    """
+    g = g0
+    yield g
+    for _ in range(generations):
+        g = step_grid(g, cfg)
+        yield g
+
+
 def classify(
     g0: Grid,
     cfg: StepConfig | None = None,
@@ -259,26 +262,21 @@ def classify(
         raise ValueError("tol must be positive and finite")
 
     fixed = g0.boundary is Boundary.FIXED_DEAD
-    probs: list[np.ndarray] = []
-    totals: list[float] = []
     border = False
-    matcher = _RecurrenceMatcher(probs, totals, g0.boundary, tol)
+    matcher = _RecurrenceMatcher(g0.boundary, tol)
 
     def report(verdict: str, t: int, **extra) -> FateReport:
         return FateReport(
             verdict=verdict,
             generations_run=t,
-            max_alive_probability_final=float(probs[-1].max()),
-            alive_probability_history=tuple(totals),
+            max_alive_probability_final=float(matcher.probs[-1].max()),
+            alive_probability_history=tuple(matcher.totals),
             border_contact=border,
             **extra,
         )
 
-    for t in range(max_gen + 1):
-        g = step_grid(g, cfg) if t else g0
+    for t, g in enumerate(evolve(g0, cfg, max_gen)):
         p = g.alive_probability()
-        probs.append(p)
-        totals.append(float(p.sum()))
         if fixed and not border and _touches_border(p):
             border = True
             if t:
@@ -287,8 +285,9 @@ def classify(
                 msg = "live amplitude on the fixed boundary; the finite grid truncates the dynamics"
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
         if p.max() < cfg.dead_threshold:
+            matcher.append(p)  # not matched: a dead map's total can be 0, which centroids divide by
             return report(VERDICT_DEAD, t, generation=t)
-        found = matcher.advance()
+        found = matcher.advance(p)
         if found is None:
             continue
         period, offset = found
@@ -369,13 +368,13 @@ def measure_burn_rate(
     cfg = cfg or DEFAULT_CONFIG
     extents: list[int] = []
     axis: str | None = None
-    died = False
-    for t in range(max_gen + 1):
-        g = step_grid(g, cfg) if t else doc.grid
-        p = g.alive_probability()
-        mask = p > cfg.dead_threshold
+    for g in evolve(doc.grid, cfg, max_gen):
+        mask = g.alive_probability() > cfg.dead_threshold
         if not mask.any():
-            died = True
+            if len(extents) < 3:
+                raise BurnRateUnmeasurable(
+                    f"pattern died after {len(extents)} frames; no rate to fit"
+                )
             break
         ys, xs = np.nonzero(mask)
         ext_x = int(xs.max() - xs.min() + 1)
@@ -383,10 +382,6 @@ def measure_burn_rate(
         if axis is None:
             axis = "x" if ext_x >= ext_y else "y"
         extents.append(ext_x if axis == "x" else ext_y)
-    if died and len(extents) < 3:
-        raise BurnRateUnmeasurable(
-            f"pattern died after {len(extents)} frames; no rate to fit"
-        )
     last_change = 0
     for i in range(1, len(extents)):
         if extents[i] != extents[i - 1]:

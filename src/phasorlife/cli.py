@@ -12,11 +12,12 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import classify, sweep_phase
+from .analysis import classify, evolve, sweep_phase
 from .oracle import conway_step, project
 from .render import render_ascii, render_csv, render_ppm
 from .rules import StepConfig, step_grid
@@ -121,11 +122,8 @@ def _cmd_run(doc: PatternDocument, cfg: StepConfig, args: argparse.Namespace) ->
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     suffix, frame = _FRAMES[args.format]
-    g = doc.grid
-    for gen in range(args.generations + 1):
+    for gen, g in enumerate(evolve(doc.grid, cfg, args.generations)):
         (outdir / f"gen_{gen:05d}.{suffix}").write_bytes(frame(g))
-        if gen < args.generations:
-            g = step_grid(g, cfg)
     print(f"final total alive probability: {g.total_alive_probability():.17g}")
     return EXIT_OK
 
@@ -210,7 +208,13 @@ def main(argv: list[str] | None = None) -> int:
             dead_threshold=args.dead_threshold,
         )
         doc = _load(args.pattern, args.boundary)
-        return _COMMANDS[args.command](doc, cfg, args)
+        # warnings pass the active filters, then print as one line each, without a source location
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                return _COMMANDS[args.command](doc, cfg, args)
+            finally:
+                for text in dict.fromkeys(str(w.message) for w in caught):
+                    print(f"warning: {text}", file=sys.stderr)
     # PatternError and UnicodeDecodeError are ValueErrors, so this clause must come first
     except (OSError, PatternError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

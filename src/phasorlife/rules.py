@@ -53,10 +53,6 @@ class NeighborSum:
         phi = cmath.phase(alpha) if A >= PHASE_EPS else 0.0
         return cls(alpha, A, phi)
 
-    @classmethod
-    def from_polar(cls, A: float, phi: float) -> "NeighborSum":
-        return cls(A * complex(math.cos(phi), math.sin(phi)), float(A), float(phi))
-
 
 @dataclass(frozen=True)
 class OperatorWeights:

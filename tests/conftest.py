@@ -19,6 +19,11 @@ def load_pattern(name: str) -> PatternDocument:
     return parse_pattern((PATTERNS_DIR / name).read_text(encoding="utf-8"))
 
 
+def probability_drift(g1: Grid, g2: Grid) -> float:
+    """Largest per-cell change of the alive probability |a|^2 between two grids."""
+    return float(np.max(np.abs(g1.alive_probability() - g2.alive_probability())))
+
+
 def random_grid(rng: np.random.Generator, width: int, height: int, boundary=None) -> Grid:
     """Seeded random normalized grid; mixes generic states with exact 0/1 amplitudes."""
     from phasorlife import Boundary

@@ -48,7 +48,6 @@ from phasorlife import (
     classify,
     conway_step,
     dual_step_grid,
-    grid_distance,
     lift,
     measure_alive_probability,
     measure_burn_rate,
@@ -59,9 +58,9 @@ from phasorlife import (
     sweep_phase,
 )
 from phasorlife.oracle import BoolGrid
-from conftest import load_pattern, random_grid
+from conftest import load_pattern, probability_drift, random_grid
 
-from test_properties import _classical_mixture_step
+from test_properties import _classical_mixture_step, polar_sum
 
 SQ2 = math.sqrt(2.0)
 
@@ -109,7 +108,7 @@ class TestCriterion1ClassicalLimit:
 
 class TestCriterion2EqualSuperposition:
     def test_worked_mixture(self):
-        ns = NeighborSum.from_polar(3 + 1 / SQ2, 0.0)
+        ns = NeighborSum.from_alpha(3 + 1 / SQ2)
         probs = []
         for cell in (CellState(1 + 0j, 0j), CellState(0j, 1 + 0j)):
             probs.append(measure_alive_probability(step_cell(cell, ns)))
@@ -270,7 +269,7 @@ class TestCriterion7LoopStillLife:
         worst = 0.0
         for _ in range(100):
             g = step_grid(g)
-            worst = max(worst, grid_distance(doc.grid, g))
+            worst = max(worst, probability_drift(doc.grid, g))
         rep = classify(doc.grid)
         ok = worst < 1e-6 and rep.verdict == "still_life"
         report(7, ok, f"loop verdict {rep.verdict}, max drift over 100 generations {worst:.3g}")
@@ -288,7 +287,7 @@ class TestCriterion8BoundaryLine:
         worst_outside = 0.0
         for _ in range(100):
             g = step_grid(g)
-            worst_drift = max(worst_drift, grid_distance(doc.grid, g))
+            worst_drift = max(worst_drift, probability_drift(doc.grid, g))
             worst_outside = max(worst_outside, float(g.alive_probability()[~inside].max()))
         ok = worst_drift < 1e-6 and worst_outside <= 1e-6
         report(
@@ -338,8 +337,8 @@ class TestCriterion9InvariantSuites:
             )
             phi = rng.uniform(-math.pi, math.pi)
             A_star = float(rng.integers(1, 5))
-            lo = measure_alive_probability(step_cell(c, NeighborSum.from_polar(A_star - eps, phi)))
-            hi = measure_alive_probability(step_cell(c, NeighborSum.from_polar(A_star + eps, phi)))
+            lo = measure_alive_probability(step_cell(c, polar_sum(A_star - eps, phi)))
+            hi = measure_alive_probability(step_cell(c, polar_sum(A_star + eps, phi)))
             worst = max(worst, abs(lo - hi))
         ok = worst < 1e-6
         report(9, ok, f"continuity at region edges: worst jump {worst:.3g} over 1000 cases (1e-6)")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -18,16 +19,16 @@ from phasorlife import (
     PatternDocument,
     classify,
     conway_step,
-    grid_distance,
     lift,
     measure_burn_rate,
     step_grid,
     sweep_phase,
 )
 from phasorlife.oracle import BoolGrid
+from phasorlife.rules import DEFAULT_CONFIG
 import classify_reference as reference
 from classify_reference import classify as reference_classify
-from conftest import PATTERNS_DIR, load_pattern
+from conftest import PATTERNS_DIR, load_pattern, probability_drift
 
 
 GLIDER = [(2, 1), (3, 2), (1, 3), (2, 3), (3, 3)]
@@ -37,33 +38,12 @@ def lifted(width, height, live, boundary=Boundary.FIXED_DEAD):
     return lift(BoolGrid.from_coords(width, height, live, boundary))
 
 
-class TestGridDistance:
-    def test_identical(self):
-        g = Grid.dead(3, 3)
-        assert grid_distance(g, g) == 0.0
-
-    def test_alive_vs_dead(self):
-        g1 = Grid.from_cells(1, 1, [ALIVE])
-        g2 = Grid.dead(1, 1)
-        assert grid_distance(g1, g2) == 1.0
-
-    def test_phase_insensitive(self):
-        g1 = Grid.from_cells(1, 1, [ALIVE])
-        g2 = Grid.from_cells(1, 1, [CellState(-1 + 0j, 0j)])
-        assert grid_distance(g1, g2) == 0.0
-
-    def test_phase_sensitive_mode(self):
-        g1 = Grid.from_cells(1, 1, [ALIVE])
-        g2 = Grid.from_cells(1, 1, [CellState(-1 + 0j, 0j)])
-        # a single global rotation aligns them, so even strict distance is ~0
-        assert grid_distance(g1, g2, phase_sensitive=True) < 1e-12
-        g3 = Grid.from_cells(2, 1, [ALIVE, CellState(-1 + 0j, 0j)])
-        g4 = Grid.from_cells(2, 1, [ALIVE, ALIVE])
-        assert grid_distance(g3, g4, phase_sensitive=True) > 0.5
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            grid_distance(Grid.dead(2, 2), Grid.dead(3, 2))
+def matcher_over(probs, boundary, tol):
+    """A matcher whose history holds these maps, none of them matched yet."""
+    matcher = analysis._RecurrenceMatcher(boundary, tol)
+    for p in probs:
+        matcher.append(p)
+    return matcher
 
 
 # ten canonical classical patterns and their expected fates
@@ -180,7 +160,7 @@ class TestClassify:
         g = doc.grid
         for _ in range(100):
             g = step_grid(g)
-            assert grid_distance(doc.grid, g) < 1e-6
+            assert probability_drift(doc.grid, g) < 1e-6
 
     def test_history_tracks_total_probability(self):
         doc = load_pattern("block_phase_pi.sqp")
@@ -327,8 +307,7 @@ class TestMatchesReference:
         for p_then, tol in cases:
             p_now = np.roll(p_then, (1, 1), axis=(0, 1))
             probs = [p_then] + [p_now] * gap
-            matcher = analysis._RecurrenceMatcher(
-                probs, [float(p.sum()) for p in probs], boundary, tol)
+            matcher = matcher_over(probs, boundary, tol)
             expected = reference._find_translation(p_now, p_then, gap, boundary, tol)
             assert expected is not None
             assert matcher._translation(gap, 0) == expected
@@ -350,8 +329,7 @@ class TestMatchesReference:
 
         for p, expected in [(p_now, (-39, -39)), (mirrored, None)]:
             probs = [p_then] + [p] * gap
-            matcher = analysis._RecurrenceMatcher(
-                probs, [float(q.sum()) for q in probs], Boundary.TORUS, 1e-6)
+            matcher = matcher_over(probs, Boundary.TORUS, 1e-6)
             assert reference._find_translation(p, p_then, gap, Boundary.TORUS, 1e-6) == expected
             compared.clear()
             with mock.patch.object(analysis, "_max_diffs", counting):
@@ -377,7 +355,7 @@ class TestMatchesReference:
             p = rng.random((h, w)) * rng.choice([1.0, 1e-3])
             probs = [p + tol, p]
             totals = [float(m.sum()) for m in probs]
-            matcher = analysis._RecurrenceMatcher(probs, totals, Boundary.FIXED_DEAD, tol)
+            matcher = matcher_over(probs, Boundary.FIXED_DEAD, tol)
             stationary = matcher._stationary(1, np.array(totals))
             assert stationary.tolist() == [bool(np.abs(p - probs[0]).max() <= tol)]
             slack_needed += stationary[0] and abs(totals[1] - totals[0]) > tol * p.size
@@ -454,6 +432,30 @@ class TestSweepPhase:
         doc = load_pattern("block.sqp")
         with pytest.raises(ValueError, match="increasing"):
             sweep_phase(doc, (3, 3), [0.5, 0.5])
+
+
+class TestGenerationLoop:
+    @pytest.mark.parametrize("asked", [1, 2, 4, 6])
+    def test_evolve_steps_only_for_grids_pulled(self, asked):
+        # three generations are four grids: asking for six yields four
+        g0 = load_pattern("blinker.sqp").grid
+        with mock.patch.object(analysis, "step_grid", wraps=analysis.step_grid) as step:
+            grids = list(itertools.islice(analysis.evolve(g0, DEFAULT_CONFIG, 3), asked))
+        assert grids[0] is g0
+        assert len(grids) == min(asked, 4)
+        assert step.call_count == len(grids) - 1
+
+    @pytest.mark.parametrize("name,max_gen,verdict", [
+        ("block_phase_pi.sqp", 200, "dead"),
+        ("block.sqp", 200, "still_life"),
+        ("blinker.sqp", 200, "oscillator"),
+        ("glider.sqp", 3, "unresolved"),
+    ])
+    def test_classify_steps_once_per_generation_run(self, name, max_gen, verdict):
+        with mock.patch.object(analysis, "step_grid", wraps=analysis.step_grid) as step:
+            report = classify(load_pattern(name).grid, max_gen=max_gen)
+        assert report.verdict == verdict
+        assert step.call_count == report.generations_run
 
 
 class TestBurnRate:

@@ -6,16 +6,30 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from unittest import mock
 
 import pytest
 
-from phasorlife import FateReport, parse_pattern, render_ascii, render_csv, render_ppm
+from phasorlife import FateReport, analysis, parse_pattern, render_ascii, render_csv, render_ppm
 from phasorlife.cli import main
 from conftest import PATTERNS_DIR
 
 
 def pattern(name: str) -> str:
     return str(PATTERNS_DIR / name)
+
+
+# the row runs into both side columns of the fixed grid
+def line_pattern(tmp_path):
+    sqp = tmp_path / "line.sqp"
+    sqp.write_text("version 1\nsize 4 3\nboundary fixed\ncells\n"
+                   ". . . .\n> > > >\n. . . .\n")
+    return sqp
+
+
+BORDER_WARNING = ("warning: live amplitude on the fixed boundary; "
+                  "the finite grid truncates the dynamics\n")
 
 
 class TestRun:
@@ -32,6 +46,15 @@ class TestRun:
         assert all(float(line.split(",")[-1]) < 1e-6 for line in last)
         summary = capsys.readouterr().out
         assert "final total alive probability" in summary
+
+    def test_frames_and_steps(self, tmp_path):
+        out = tmp_path / "frames"
+        with mock.patch.object(analysis, "step_grid", wraps=analysis.step_grid) as step:
+            rc = main(["run", "--pattern", pattern("blinker.sqp"), "--generations", "4",
+                       "--output", str(out)])
+        assert rc == 0
+        assert len(list(out.iterdir())) == 5
+        assert step.call_count == 4
 
     def test_empty_pattern_frames_identical(self, tmp_path):
         sqp = tmp_path / "empty.sqp"
@@ -136,13 +159,13 @@ class TestAnalyze:
         assert rc == 1
         assert "tol" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("default:live amplitude:RuntimeWarning")
     def test_boundary_override(self, capsys, tmp_path):
-        sqp = tmp_path / "line.sqp"
-        sqp.write_text("version 1\nsize 4 3\nboundary fixed\ncells\n"
-                       ". . . .\n> > > >\n. . . .\n")
-        # the row runs into both side columns of the fixed grid
-        with pytest.warns(RuntimeWarning, match="^live amplitude on the fixed boundary; "):
-            fixed = self.run_json(capsys, "--pattern", str(sqp))
+        sqp = line_pattern(tmp_path)
+        assert main(["analyze", "--pattern", str(sqp)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == BORDER_WARNING
+        fixed = json.loads(captured.out)
         torus = self.run_json(capsys, "--pattern", str(sqp), "--boundary", "torus")
         assert fixed["verdict"] != torus["verdict"] or fixed["generation"] != torus.get("generation")
 
@@ -168,6 +191,19 @@ class TestSweep:
         assert rc == 0
         out = capsys.readouterr().out.splitlines()
         assert len([l for l in out[1:] if l and not l.startswith("#")]) == 1
+
+    # each of the three classifications warns; the text is printed once, or
+    # not at all where the active filters ignore it
+    @pytest.mark.parametrize("action,err", [
+        ("always", BORDER_WARNING), ("default", BORDER_WARNING), ("ignore", ""),
+    ], ids=["always", "default", "ignore"])
+    def test_border_warning_is_one_line(self, capsys, tmp_path, action, err):
+        sqp = line_pattern(tmp_path)
+        with warnings.catch_warnings():
+            warnings.filterwarnings(action, message="live amplitude", category=RuntimeWarning)
+            rc = main(["sweep", "--pattern", str(sqp), "--cell", "0", "1", "--steps", "3"])
+        assert rc == 0
+        assert capsys.readouterr().err == err
 
     def test_dead_cell_is_usage_error(self, capsys):
         rc = main(["sweep", "--pattern", pattern("block.sqp"), "--cell", "0", "0"])

@@ -206,7 +206,7 @@ class TestStepCell:
 
     @pytest.mark.parametrize("cell", [ALIVE, DEAD])
     def test_equal_superposition_from_both_states(self, cell):
-        ns = NeighborSum.from_polar(3 + 1 / SQ2, 0.0)
+        ns = NeighborSum.from_alpha(3 + 1 / SQ2)
         out = step_cell(cell, ns)
         assert measure_alive_probability(out) == pytest.approx(0.5, abs=1e-12)
         assert abs(out.a - 1 / SQ2) < 1e-12
@@ -214,7 +214,7 @@ class TestStepCell:
 
     def test_canonicalize_dead_phase(self):
         cfg = StepConfig(canonicalize_dead_phase=True)
-        out = step_cell(ALIVE, NeighborSum.from_polar(1.0, math.pi / 2), cfg)
+        out = step_cell(ALIVE, NeighborSum.from_alpha(1j), cfg)
         assert out.b.imag == 0.0
         assert out.b.real >= 0.0
 
