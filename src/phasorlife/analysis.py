@@ -108,6 +108,7 @@ class _RecurrenceMatcher:
         self.stationary = np.zeros(0, dtype=bool)  # newest generation vs each earlier one
         self.shifts: dict[int, tuple[int, int] | None] = {}  # j -> offset of (newest, j)
         self.centroids: dict[int, tuple[float, float]] = {}
+        self.probes: dict[int, tuple[int, list[tuple[int, float]]]] = {}
 
     def append(self, p: np.ndarray) -> None:
         """Add the next generation's map to the history, without matching it."""
@@ -183,6 +184,50 @@ class _RecurrenceMatcher:
             self.centroids[t] = (float((p * xs).sum() / total), float((p * ys).sum() / total))
         return self.centroids[t]
 
+    def _probe(
+        self, i: int, p_then: np.ndarray, offsets: list[tuple[int, int]], pad_x: tuple[int, int]
+    ) -> list[tuple[int, int]]:
+        """The offsets, in order, whose window of p_then is within tol of p_i
+        on every probe cell.
+
+        The probe cells of p_i are the (x, value) cells of row y0, the row
+        holding its first maximum, whose value is not within tol of 0 (NaN
+        cells included); they are kept per generation. Each row y0 - dy of
+        p_then is read once as a list, wrapped or dead-filled by
+        pad_x = (left, right) cells like the padded copy in ``_translation``.
+        A window that misses one probe cell has a max difference above tol
+        (or NaN), so it fails the full compare too.
+        """
+        tol = self.tol
+        if i not in self.probes:
+            p = self.probs[i]
+            y0 = int(np.argmax(p)) // p.shape[1]
+            row = p[y0].tolist()
+            self.probes[i] = (y0, [(x, v) for x, v in enumerate(row) if not abs(v) <= tol])
+        y0, probes = self.probes[i]
+        h, w = p_then.shape
+        left, right = pad_x
+        rows: dict[int, list[float]] = {}
+        passed = []
+        for dx, dy in offsets:
+            row = rows.get(dy)
+            if row is None:
+                y = y0 - dy
+                if self.torus:
+                    cells = p_then[y % h].tolist()
+                    row = cells[w - left :] + cells + cells[:right]
+                else:
+                    cells = p_then[y].tolist() if 0 <= y < h else [0.0] * w
+                    row = [0.0] * left + cells + [0.0] * right
+                rows[dy] = row
+            shift = left - dx
+            for x, v in probes:
+                if not abs(v - row[x + shift]) <= tol:
+                    break
+            else:
+                passed.append((dx, dy))
+        return passed
+
     def _translation(self, i: int, j: int) -> tuple[int, int] | None:
         """First nonzero offset (dx, dy) that carries p_j onto p_i within tol.
 
@@ -191,8 +236,9 @@ class _RecurrenceMatcher:
         runs from -lim up to the last offset whose wrapped window differs
         from every earlier one. On a fixed boundary it is the 3x3 block
         around the rounded centroid displacement, and an earlier map with
-        total at most tol has no translation. Each candidate is a window into
-        one padded copy of p_j (wrapped, or dead-filled), and the windows are
+        total at most tol has no translation. Candidates that fail the row
+        probe (``_probe``) are dropped; each one left is a window into one
+        padded copy of p_j (wrapped, or dead-filled), and the windows are
         compared in bounded chunks, in order.
         """
         p_now, p_then = self.probs[i], self.probs[j]
@@ -216,6 +262,9 @@ class _RecurrenceMatcher:
         # padded[top + y, left + x] = p_then[y, x], wrapped or dead around it
         top, left = max(0, dys[-1]), max(0, dxs[-1])
         pad = ((top, max(0, -dys[0])), (left, max(0, -dxs[0])))
+        offsets = self._probe(i, p_then, offsets, pad[1])
+        if not offsets:
+            return None
         if self.torus:
             padded = np.pad(p_then, pad, mode="wrap")
         else:  # np.pad's set-up costs more than this copy on small grids
@@ -343,6 +392,8 @@ def sweep_phase(
     phases = [float(p) for p in phases]
     if not phases:
         raise ValueError("phases must be non-empty")
+    if not all(map(math.isfinite, phases)):
+        raise ValueError("phases must be finite")
     if any(b <= a for a, b in zip(phases, phases[1:])):
         raise ValueError("phases must be strictly increasing")
     reports = []

@@ -195,6 +195,8 @@ def _validate(args: argparse.Namespace) -> None:
     if args.command == "sweep":
         if args.steps < 1:
             raise _UsageError("steps must be >= 1")
+        if not (math.isfinite(args.phase_start) and math.isfinite(args.phase_end)):
+            raise _UsageError("phase-start and phase-end must be finite")
         if args.steps > 1 and args.phase_end <= args.phase_start:
             raise _UsageError("phase-end must exceed phase-start")
 

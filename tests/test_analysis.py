@@ -46,6 +46,13 @@ def matcher_over(probs, boundary, tol):
     return matcher
 
 
+def window(p, dx, dy, boundary):
+    """p moved by (dx, dy): wrapped on a torus, dead-filled on a fixed grid."""
+    if boundary is Boundary.TORUS:
+        return np.roll(p, (dy, dx), axis=(0, 1))
+    return reference._shifted(p, dx, dy)
+
+
 # ten canonical classical patterns and their expected fates
 CANONICAL = [
     ("block", 6, 6, [(2, 2), (3, 2), (2, 3), (3, 3)], Boundary.FIXED_DEAD, "still_life", None),
@@ -312,29 +319,170 @@ class TestMatchesReference:
             assert expected is not None
             assert matcher._translation(gap, 0) == expected
 
+    @staticmethod
+    def assert_same_translation(probs, i, j, boundary, tol):
+        """``_translation`` of (i, j) equals the reference, and exactly the
+        candidates whose window agrees with p_i on its probe row reach the
+        full compare, in order. Returns the offset, the candidates and the
+        ones that passed the probe."""
+        p_now, p_then = probs[i], probs[j]
+        tested, compared = [], []
+        probe, max_diffs = analysis._RecurrenceMatcher._probe, analysis._max_diffs
+
+        def probing(matcher, k, p, offsets, pad_x):
+            tested.extend(offsets)
+            return probe(matcher, k, p, offsets, pad_x)
+
+        def counting(p, maps):
+            compared.extend(maps)
+            return max_diffs(p, maps)
+
+        matcher = matcher_over(probs, boundary, tol)
+        with mock.patch.object(analysis._RecurrenceMatcher, "_probe", probing), \
+                mock.patch.object(analysis, "_max_diffs", counting):
+            found = matcher._translation(i, j)
+        assert found == reference._find_translation(p_now, p_then, i - j, boundary, tol)
+        # the probe row holds the first maximum (a NaN, if any); its probes
+        # are the cells not within tol of 0
+        y0 = int(np.argmax(p_now)) // p_now.shape[1]
+        row = p_now[y0].tolist()
+        probes = [x for x, v in enumerate(row) if not abs(v) <= tol]
+        passed = [
+            (dx, dy) for dx, dy in tested
+            if all(abs(row[x] - window(p_then, dx, dy, boundary)[y0].tolist()[x]) <= tol
+                   for x in probes)
+        ]
+        assert len(compared) == len(passed)
+        for m, (dx, dy) in zip(compared, passed):
+            assert np.array_equal(m, window(p_then, dx, dy, boundary), equal_nan=True)
+        return found, tested, passed
+
     @pytest.mark.parametrize("gap", [39, 40, 47])
     def test_torus_search_skips_repeated_windows(self, gap):
         # once the gap reaches the side, dx and dx - 40 (dy and dy - 40) select
-        # the same window; only the first of each is compared, so a glider
+        # the same window; only the first of each is a candidate, so a glider
         # moved by (1, 1) still reports the reference's first offset, (-39, -39)
         p_then = lifted(40, 40, GLIDER, Boundary.TORUS).alive_probability()
         p_now = np.roll(p_then, (1, 1), axis=(0, 1))
         mirrored = p_now[::-1]  # no offset carries p_then onto it
-        compared = []
-        max_diffs = analysis._max_diffs
+        for p, expected in [(p_now, (-39, -39)), (mirrored, None)]:
+            found, tested, passed = self.assert_same_translation(
+                [p_then] + [p] * gap, gap, 0, Boundary.TORUS, 1e-6)
+            assert found == expected
+            assert len(tested) == 40 * 40 - 1  # of 79 * 79 - 1 offsets, only these windows differ
+            # each probe row holds a live glider cell, which at most one
+            # candidate per live cell of p_then carries onto it
+            assert 0 < len(passed) <= 5
+
+    @pytest.mark.parametrize("boundary", [Boundary.FIXED_DEAD, Boundary.TORUS])
+    def test_probe_row_matches_window_fails_elsewhere(self, boundary):
+        p_then = np.zeros((12, 12))
+        p_then[3:9, 3:9] = np.random.default_rng(1).random((6, 6)) * 0.5
+        p_then[4, 5] = 1.0
+        p_now = window(p_then, 1, 1, boundary)
+        p_now[8, 6] += 0.25  # below the probe row, which holds the peak in row 5
+        found, _, passed = self.assert_same_translation(
+            [p_then, p_now, p_now], 2, 0, boundary, 1e-6)
+        assert found is None
+        assert passed == [(1, 1)]
+
+    @pytest.mark.parametrize("dx,dy", [(1, 0), (-1, 1), (2, -2)])
+    def test_probe_true_translation_wraps_on_torus(self, dx, dy):
+        # every cell is live, so every probe reads a wrapped cell for some dx
+        p_then = np.random.default_rng(2).random((9, 11)) * 0.5 + 0.25
+        p_now = window(p_then, dx, dy, Boundary.TORUS)
+        found, _, passed = self.assert_same_translation(
+            [p_then, p_now, p_now], 2, 0, Boundary.TORUS, 1e-6)
+        assert found == (dx, dy)
+        assert passed == [(dx, dy)]
+
+    @pytest.mark.parametrize("dx", [1, -1])
+    def test_probe_true_translation_dead_fills_on_fixed_grid(self, dx):
+        # the peak sits in row 0, so candidates with dy = 1 probe the dead row
+        # above the grid; the last row repeats the first, so a probe that
+        # wrapped would pass (dx, 1) as well. Content leaves through a side.
+        rng = np.random.default_rng(3)
+        p_then = np.zeros((10, 10))
+        p_then[:, 1:9] = rng.random((10, 8)) * 0.5
+        p_then[:, 0 if dx < 0 else 9] = 0.01
+        p_then[0, 4] = 1.0
+        p_then[9] = p_then[0]
+        p_now = window(p_then, dx, 0, Boundary.FIXED_DEAD)
+        found, tested, passed = self.assert_same_translation(
+            [p_then, p_now, p_now], 2, 0, Boundary.FIXED_DEAD, 1e-6)
+        assert found == (dx, 0)
+        assert (dx, 1) in tested
+        assert passed == [(dx, 0)]
+
+    @pytest.mark.parametrize("boundary", [Boundary.FIXED_DEAD, Boundary.TORUS])
+    @pytest.mark.parametrize("peak", [0.3, 0.9])
+    def test_loose_tol_without_probes(self, boundary, peak):
+        # with every cell of p_now within tol of 0 there is nothing to probe,
+        # so every candidate reaches the full compare; a peak of 0.9 in p_then
+        # fails every window that keeps it on the grid
+        rng = np.random.default_rng(4)
+        p_now = rng.random((8, 8)) * 0.3
+        p_then = rng.random((8, 8)) * 0.3
+        p_then[4, 4] = peak
+        _, tested, passed = self.assert_same_translation(
+            [p_then, p_now, p_now], 2, 0, boundary, 0.3)
+        assert passed == tested
+
+    @pytest.mark.parametrize("where", ["now", "then"])
+    def test_probe_rejects_nan(self, where):
+        # no compare matches a NaN, so no window with one on the probe row
+        # reaches the full compare (on a fixed grid, a NaN map's centroid is
+        # NaN and both searches raise before any compare)
+        p_then = np.zeros((10, 10))
+        p_then[2:7, 2:7] = np.random.default_rng(5).random((5, 5)) * 0.5
+        p_then[3, 4] = 1.0
+        p_now = window(p_then, 1, 1, Boundary.TORUS)
+        if where == "now":
+            p_now[4, 3] = math.nan  # left of the peak in the probe row
+        else:
+            p_then[3, 2] = math.nan  # probed through the true offset
+        found, _, passed = self.assert_same_translation(
+            [p_then, p_now, p_now], 2, 0, Boundary.TORUS, 1e-6)
+        assert found is None
+        assert (1, 1) not in passed
+
+    def test_probe_rejects_almost_every_candidate(self):
+        # a probe that passed every offset would keep every report and lose
+        # its gain: on the fixed r-pentomino, as analyzed and at the sweep
+        # point that makes 6,016 searches, under 1% of the candidates that
+        # the translation searches test may reach the full compare
+        M = analysis._RecurrenceMatcher
+        probe, translation, max_diffs = M._probe, M._translation, analysis._max_diffs
+        tested, compared, searching = [], [], []
+
+        def probing(matcher, i, p, offsets, pad_x):
+            tested.append(len(offsets))
+            return probe(matcher, i, p, offsets, pad_x)
+
+        def search(matcher, i, j):
+            searching.append((i, j))
+            try:
+                return translation(matcher, i, j)
+            finally:
+                searching.pop()
 
         def counting(p, maps):
-            compared.append(len(maps))
+            if searching:  # not the stationary compare
+                compared.append(len(maps))
             return max_diffs(p, maps)
 
-        for p, expected in [(p_now, (-39, -39)), (mirrored, None)]:
-            probs = [p_then] + [p] * gap
-            matcher = matcher_over(probs, Boundary.TORUS, 1e-6)
-            assert reference._find_translation(p, p_then, gap, Boundary.TORUS, 1e-6) == expected
-            compared.clear()
-            with mock.patch.object(analysis, "_max_diffs", counting):
-                assert matcher._translation(gap, 0) == expected
-        assert compared == [40 * 40 - 1]  # of 79 * 79 - 1 offsets, only these windows differ
+        doc = load_pattern("r_pentomino.sqp")
+        assert doc.grid.boundary is Boundary.FIXED_DEAD
+        base = doc.grid.cell(20, 21)
+        swept = CellState(abs(base.a) * np.exp(1j * RPENT_PHASES[3]), base.b)
+        with warnings.catch_warnings(), \
+                mock.patch.multiple(M, _probe=probing, _translation=search), \
+                mock.patch.object(analysis, "_max_diffs", counting):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for g in (doc.grid, doc.grid.with_cell(20, 21, swept)):
+                assert classify(g, max_gen=200).generations_run == 200
+        assert sum(tested) > 40_000
+        assert sum(compared) < 0.01 * sum(tested)
 
     def test_small_torus_glider(self):
         # on a 5x5 torus the period-4 search already reaches the side, and
@@ -432,6 +580,14 @@ class TestSweepPhase:
         doc = load_pattern("block.sqp")
         with pytest.raises(ValueError, match="increasing"):
             sweep_phase(doc, (3, 3), [0.5, 0.5])
+
+    @pytest.mark.parametrize("phases", [
+        [math.nan], [0.0, math.nan, 1.0], [0.0, math.inf], [-math.inf],
+    ])
+    def test_rejects_non_finite_phases(self, phases):
+        doc = load_pattern("block.sqp")
+        with pytest.raises(ValueError, match="phases must be finite"):
+            sweep_phase(doc, (3, 3), phases)
 
 
 class TestGenerationLoop:

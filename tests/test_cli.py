@@ -214,6 +214,21 @@ class TestSweep:
                    "--phase-start", "2.0", "--phase-end", "1.0"])
         assert rc == 1
 
+    # a NaN bound used to slip past the range check and fail later, after a
+    # numpy warning, as "coefficients must be finite" or "must be strictly increasing"
+    @pytest.mark.parametrize("bound", [
+        ["--phase-start", "nan", "--steps", "3"],
+        ["--phase-end", "inf", "--steps", "3"],
+        ["--phase-start=-inf", "--steps", "1"],
+        ["--phase-end", "nan", "--steps", "1"],
+    ])
+    def test_non_finite_phase_is_usage_error(self, capsys, bound):
+        rc = main(["sweep", "--pattern", pattern("block.sqp"), "--cell", "3", "3", *bound])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: phase-start and phase-end must be finite\n"
+
 
 class TestOracleCheck:
     def test_glider_passes(self, capsys):
