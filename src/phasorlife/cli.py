@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -41,7 +42,18 @@ class _UsageError(Exception):
     pass
 
 
+# what float() reads with a leading minus; argparse's own pattern misses the
+# exponent, inf and nan forms and takes '-1e-3' for an option name
+_NEGATIVE_NUMBER = re.compile(
+    r"-(?:(?:\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(?:e[-+]?\d[\d_]*)?|inf(?:inity)?|nan)\Z", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)  # subparsers are built as this class too
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits with status 2 on bad flags; the contract reserves 2 for I/O
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)

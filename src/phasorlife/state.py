@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -250,30 +251,65 @@ def _parse_token(token: str, line: int | None, column: int | None) -> CellState:
     raise PatternError(f"unknown token {token!r}", line, column)
 
 
+def _decode_phasors(tokens: list[str]) -> tuple[list[complex], np.ndarray] | None:
+    """The a and b coefficients of ``amp@deg`` tokens, or None if one is bad.
+
+    Each step of ``_parse_token`` runs over the whole list at once, and the
+    ranges are checked before any trig (``math.cos(inf)`` raises). The trig
+    stays on libm through ``math``, and ``a`` is the interpreter's own
+    ``float * complex``, so every bit is ``_parse_token``'s.
+    """
+    parts = [token.partition("@") for token in tokens]
+    if not all(map(itemgetter(1), parts)):
+        return None
+    try:
+        amps = list(map(float, map(itemgetter(0), parts)))
+        degs = list(map(float, map(itemgetter(2), parts)))
+    except ValueError:
+        return None
+    amp = np.array(amps, dtype=np.float64)
+    deg = np.array(degs, dtype=np.float64)
+    # NaN fails every comparison, so it is out of range too
+    if not (((amp >= 0.0) & (amp <= 1.0)).all() and ((deg > -360.0) & (deg < 360.0)).all()):
+        return None
+    rads = list(map(math.radians, degs))
+    a = list(map(mul, amps, map(complex, map(math.cos, rads), map(math.sin, rads))))
+    b = np.sqrt(np.maximum(0.0, 1.0 - amp * amp)).astype(np.complex128)
+    return a, b
+
+
 def _decode_cells(
     tokens: list[str], rows: list[tuple[int, str]], width: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The a and b coefficients of each token, decoding every distinct token once.
 
     ``rows`` holds the (line number, text) of the rows the tokens came from,
-    ``width`` tokens each. The table of distinct tokens keeps first-appearance
-    order, so the first token that fails to decode is the first bad token in
-    the file; only then is its line and column looked up.
+    ``width`` tokens each. Glyphs come from ``_GLYPH_CELLS``, and the other
+    distinct tokens are decoded in one batch. If the batch finds a bad one,
+    they are decoded one at a time in first-appearance order instead, so the
+    first that fails is the first bad token in the file (glyphs never fail);
+    only then is its line and column looked up.
     """
     table = dict.fromkeys(tokens)
-    cells: list[CellState] = []
-    for code, token in enumerate(table):
-        try:
-            cells.append(_parse_token(token, None, None))
-        except PatternError as err:
-            index = tokens.index(token)
-            lineno, line = rows[index // width]
-            column = [m.start() for m in _TOKEN_RE.finditer(line)][index % width] + 1
-            raise PatternError(str(err), lineno, column) from None
-        table[token] = code
+    glyphs = [token for token in table if token in _GLYPH_CELLS]
+    phasors = [token for token in table if token not in _GLYPH_CELLS]
+    decoded = _decode_phasors(phasors)
+    if decoded is None:
+        cells: list[CellState] = []
+        for token in phasors:
+            try:
+                cells.append(_parse_token(token, None, None))
+            except PatternError as err:
+                index = tokens.index(token)
+                lineno, line = rows[index // width]
+                column = [m.start() for m in _TOKEN_RE.finditer(line)][index % width] + 1
+                raise PatternError(str(err), lineno, column) from None
+        decoded = [c.a for c in cells], [c.b for c in cells]
+    a = np.array([_GLYPH_CELLS[token].a for token in glyphs] + decoded[0], dtype=np.complex128)
+    b = np.concatenate([[_GLYPH_CELLS[token].b for token in glyphs], decoded[1]],
+                       dtype=np.complex128)
+    table.update(zip(glyphs + phasors, range(len(table))))
     codes = np.fromiter(map(table.__getitem__, tokens), np.intp, len(tokens))
-    a = np.array([c.a for c in cells], dtype=np.complex128)
-    b = np.array([c.b for c in cells], dtype=np.complex128)
     return a[codes], b[codes]
 
 

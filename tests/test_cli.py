@@ -214,6 +214,15 @@ class TestSweep:
                    "--phase-start", "2.0", "--phase-end", "1.0"])
         assert rc == 1
 
+    # argparse's own negative-number pattern took these for option names
+    @pytest.mark.parametrize("start", ["-1e-3", "-1E+0"])
+    def test_negative_exponent_phase_is_a_value(self, capsys, start):
+        rc = main(["sweep", "--pattern", pattern("block.sqp"), "--cell", "3", "3",
+                   "--phase-start", start, "--steps", "2"])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert float(rows[1].split(",")[0]) == float(start)
+
     # a NaN bound used to slip past the range check and fail later, after a
     # numpy warning, as "coefficients must be finite" or "must be strictly increasing"
     @pytest.mark.parametrize("bound", [
@@ -221,6 +230,8 @@ class TestSweep:
         ["--phase-end", "inf", "--steps", "3"],
         ["--phase-start=-inf", "--steps", "1"],
         ["--phase-end", "nan", "--steps", "1"],
+        ["--phase-start", "-inf", "--steps", "1"],
+        ["--phase-start", "-nan", "--steps", "3"],
     ])
     def test_non_finite_phase_is_usage_error(self, capsys, bound):
         rc = main(["sweep", "--pattern", pattern("block.sqp"), "--cell", "3", "3", *bound])

@@ -20,6 +20,7 @@ from phasorlife import (
     normalize,
     parse_pattern,
     serialize_pattern,
+    state,
 )
 import parse_reference
 from conftest import PATTERNS_DIR
@@ -286,7 +287,7 @@ EDGE_TOKENS = [
     "0@0", "-0@0", "0@-0", "-0.0@-0.0", "1@0", "1@-0", "1e0@0", "5E-1@9e1", "0.5_0@1",
     "1_0e-1@1_2.5", f"{math.nextafter(1.0, 0.0)!r}@0", f"0.5@{math.nextafter(360.0, 0.0)!r}",
     f"0.5@{-math.nextafter(360.0, 0.0)!r}", f"1@{math.nextafter(360.0, 0.0)!r}", "1@-358.8923",
-    "0.6@90", "5e-324@0", "0.3@1e-320", "+0.5@+45", "0.50@3.0",
+    "0.6@90", "5e-324@0", "0.3@1e-320", "+0.5@+45", "0.50@3.0", "1e-3@90",
 ]
 # Tokens the format rejects, one of each kind of error.
 BAD_TOKENS = [
@@ -410,3 +411,41 @@ class TestMatchesReference:
         gen = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(gen)
         assert_parses_like_reference(getattr(gen, generator)(0))
+
+
+class TestBatchDecode:
+    """Valid ``amp@deg`` tokens are decoded in one batch; one at a time only to report an error."""
+
+    def document(self, bad_token=None):
+        # a 64x64 torus of about 4,000 distinct tokens, the edge tokens first
+        rng = np.random.default_rng(11)
+        tokens = list(EDGE_TOKENS)
+        while len(tokens) < 64 * 64:
+            amp, deg = float(rng.random()), float(rng.uniform(-359.5, 359.5))
+            tokens.append(f"{amp!r}@{deg!r}" if len(tokens) % 3 else f"{amp:.4e}@{deg:.2f}")
+        if bad_token is not None:
+            tokens[64 * 62 + 40] = bad_token
+        assert len(set(tokens)) > 4000
+        rows = (" ".join(tokens[i:i + 64]) for i in range(0, len(tokens), 64))
+        return header(64, 64) + "\n".join(rows) + "\n"
+
+    def count_token_decodes(self, monkeypatch):
+        calls = []
+        one_token = state._parse_token
+        monkeypatch.setattr(state, "_parse_token", lambda *args: calls.append(args) or one_token(*args))
+        return calls
+
+    def test_valid_document_decodes_no_token_alone(self, monkeypatch):
+        calls = self.count_token_decodes(monkeypatch)
+        assert_parses_like_reference(self.document())
+        assert calls == []
+
+    @pytest.mark.parametrize("token", ["0.5@inf", "nan@0", "1.5@0", "0.5@360", "x", "0.5@@1"])
+    def test_bad_token_after_thousands_of_valid_ones(self, monkeypatch, token):
+        calls = self.count_token_decodes(monkeypatch)
+        text = self.document(token)
+        assert_parses_like_reference(text)
+        with pytest.raises(PatternError) as err:
+            parse_pattern(text)
+        assert err.value.line == 5 + 62 and token in str(err.value)  # rows start on line 5
+        assert calls[-1][0] == token
