@@ -414,8 +414,11 @@ def measure_burn_rate(
     Fits a least-squares line to the extent while it is still changing and
     returns the negated slope, so a structure consumed one cell per
     generation measures 1.0 and a static structure measures 0.0. Raises
-    BurnRateUnmeasurable when the pattern dies before three frames exist.
+    BurnRateUnmeasurable when the pattern dies before three frames exist, and
+    ValueError when ``max_gen`` leaves fewer than three.
     """
+    if max_gen < 2:
+        raise ValueError("max_gen must be at least 2")
     cfg = cfg or DEFAULT_CONFIG
     extents: list[int] = []
     axis: str | None = None

@@ -169,8 +169,7 @@ def _cmd_oracle_check(doc: PatternDocument, cfg: StepConfig, args: argparse.Name
     g = doc.grid
     classical = np.all((g.a == 1.0) & (g.b == 0.0) | (g.a == 0.0) & (g.b == 1.0))
     if not classical:
-        print("error: non-classical token in pattern", file=sys.stderr)
-        return EXIT_IO
+        raise PatternError("non-classical token in pattern")
     semi = g
     boolean = project(g, 0.5)
     for gen in range(1, args.generations + 1):

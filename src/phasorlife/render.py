@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,10 @@ class RenderOptions:
     cell_pixel_size: int = 1
 
     def __post_init__(self) -> None:
-        if self.cell_pixel_size < 1:
-            raise ValueError("cell_pixel_size must be >= 1")
+        size = self.cell_pixel_size
+        # a float would reach the PPM header as "2.5", and True would pass as 1
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+            raise ValueError(f"cell_pixel_size must be a positive integer, got {size!r}")
 
 
 # Cells per row block. Every renderer works one block of rows at a time, so its

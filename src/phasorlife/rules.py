@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import os
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -161,20 +160,11 @@ _MIN_BANDS_PER_THREAD = 8
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on; ``taskset`` and ``os.sched_setaffinity`` set them."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         return os.cpu_count() or 1
-
-
-def _worker_count(workers: int | None) -> int:
-    """``workers`` checked at the API boundary; ``None`` means every available CPU."""
-    if workers is None:
-        return _cpu_count()
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ValueError(f"workers must be a positive integer or None, got {workers!r}")
-    return int(workers)
 
 
 def _halo_band(coeff: np.ndarray, y0: int, y1: int, torus: bool) -> np.ndarray:
@@ -233,7 +223,7 @@ def _step_band(
 
 
 def _step_arrays(
-    live: np.ndarray, dead: np.ndarray, boundary: Boundary, cfg: StepConfig, workers: int
+    live: np.ndarray, dead: np.ndarray, boundary: Boundary, cfg: StepConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous step of the component pair, alpha summed over ``live``.
 
@@ -241,7 +231,7 @@ def _step_arrays(
     temporary outgrows the cache, and the cut depends on the width alone.
     Each band pads its own rows with a halo. The calling thread and ``k - 1``
     pool threads take the bands one at a time from a shared queue, with
-    ``k`` at most ``workers``, the CPU count and one thread per
+    ``k`` the smaller of the CPUs this process may run on and one thread per
     ``_MIN_BANDS_PER_THREAD`` bands. Every cell reads only the previous
     generation, so the sharing never changes a byte.
     """
@@ -262,7 +252,7 @@ def _step_arrays(
             new_live[y0:y1] = nl
             new_dead[y0:y1] = np.abs(nd) if cfg.canonicalize_dead_phase else nd
 
-    k = max(1, min(workers, _cpu_count(), len(bands) // _MIN_BANDS_PER_THREAD))
+    k = max(1, min(_cpu_count(), len(bands) // _MIN_BANDS_PER_THREAD))
     # One iterator shared by every thread: each takes the next band when it is
     # free, so a thread whose CPU is busy elsewhere just takes fewer bands.
     # Under the GIL, next() on a list iterator hands each band out once.
@@ -278,24 +268,19 @@ def _step_arrays(
     return new_live, new_dead
 
 
-def step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int | None = None) -> Grid:
+def step_grid(g: Grid, cfg: StepConfig | None = None) -> Grid:
     """Synchronous update of the whole grid.
 
     Pure function: the input grid is untouched and the result is bit-identical
-    for any worker count, because every cell reads only the previous
-    generation and the bands the core steps do not depend on ``workers``.
-    ``workers`` caps the threads; ``None`` means every CPU this process may
-    run on, and anything but a positive integer raises ``ValueError``.
+    for any thread count, because every cell reads only the previous
+    generation and the bands the core steps depend on the width alone. The
+    threads are capped by the process's CPU affinity.
     """
-    new_a, new_b = _step_arrays(
-        g.a, g.b, g.boundary, cfg or DEFAULT_CONFIG, _worker_count(workers)
-    )
+    new_a, new_b = _step_arrays(g.a, g.b, g.boundary, cfg or DEFAULT_CONFIG)
     return Grid._adopt(new_a, new_b, g.boundary)
 
 
-def dual_step_grid(
-    g: Grid, cfg: StepConfig | None = None, *, workers: int | None = None
-) -> Grid:
+def dual_step_grid(g: Grid, cfg: StepConfig | None = None) -> Grid:
     """Mirror stepper with the roles of the two components exchanged.
 
     Neighbor sums run over the b coefficients, birth fills the b slot, death
@@ -305,9 +290,7 @@ def dual_step_grid(
     swap-step-swap agreement does not check it on its own; the scalar
     ``step_cell``, applied with the roles swapped, does.
     """
-    new_b, new_a = _step_arrays(
-        g.b, g.a, g.boundary, cfg or DEFAULT_CONFIG, _worker_count(workers)
-    )
+    new_b, new_a = _step_arrays(g.b, g.a, g.boundary, cfg or DEFAULT_CONFIG)
     return Grid._adopt(new_a, new_b, g.boundary)
 
 

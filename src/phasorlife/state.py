@@ -230,34 +230,31 @@ _GLYPH_CELLS = {
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def _parse_token(token: str, line: int | None, column: int | None) -> CellState:
-    if token in _GLYPH_CELLS:
-        return _GLYPH_CELLS[token]
-    if "@" in token:
-        amp_text, _, deg_text = token.partition("@")
-        try:
-            amp = float(amp_text)
-            deg = float(deg_text)
-        except ValueError:
-            raise PatternError(f"malformed token {token!r}", line, column) from None
-        if not 0.0 <= amp <= 1.0:
-            raise PatternError(f"amplitude out of [0, 1] in token {token!r}", line, column)
-        if not -360.0 < deg < 360.0:
-            raise PatternError(f"phase out of (-360, 360) degrees in token {token!r}", line, column)
-        rad = math.radians(deg)
-        a = amp * complex(math.cos(rad), math.sin(rad))
-        b = complex(math.sqrt(max(0.0, 1.0 - amp * amp)), 0.0)
-        return CellState(a, b)
-    raise PatternError(f"unknown token {token!r}", line, column)
+def _token_error(token: str) -> str | None:
+    """Why ``_decode_phasors`` refuses a non-glyph token, or None if it is a good ``amp@deg``."""
+    amp_text, at, deg_text = token.partition("@")
+    if not at:
+        return f"unknown token {token!r}"
+    try:
+        amp = float(amp_text)
+        deg = float(deg_text)
+    except ValueError:
+        return f"malformed token {token!r}"
+    if not 0.0 <= amp <= 1.0:
+        return f"amplitude out of [0, 1] in token {token!r}"
+    if not -360.0 < deg < 360.0:
+        return f"phase out of (-360, 360) degrees in token {token!r}"
+    return None
 
 
 def _decode_phasors(tokens: list[str]) -> tuple[list[complex], np.ndarray] | None:
     """The a and b coefficients of ``amp@deg`` tokens, or None if one is bad.
 
-    Each step of ``_parse_token`` runs over the whole list at once, and the
-    ranges are checked before any trig (``math.cos(inf)`` raises). The trig
-    stays on libm through ``math``, and ``a`` is the interpreter's own
-    ``float * complex``, so every bit is ``_parse_token``'s.
+    Each step of the per-token decode in ``tests/parse_reference.py`` runs over
+    the whole list at once, and the ranges are checked before any trig
+    (``math.cos(inf)`` raises). The trig stays on libm through ``math``, and
+    ``a`` is the interpreter's own ``float * complex``, so every bit is the
+    reference's.
     """
     parts = [token.partition("@") for token in tokens]
     if not all(map(itemgetter(1), parts)):
@@ -285,26 +282,24 @@ def _decode_cells(
 
     ``rows`` holds the (line number, text) of the rows the tokens came from,
     ``width`` tokens each. Glyphs come from ``_GLYPH_CELLS``, and the other
-    distinct tokens are decoded in one batch. If the batch finds a bad one,
-    they are decoded one at a time in first-appearance order instead, so the
-    first that fails is the first bad token in the file (glyphs never fail);
-    only then is its line and column looked up.
+    distinct tokens are decoded in one batch. The batch refuses exactly the
+    tokens ``_token_error`` names, so if it refuses, they are checked one at a
+    time in first-appearance order instead, and the first bad one is the first
+    bad token in the file (glyphs are never bad); only then is its line and
+    column looked up.
     """
     table = dict.fromkeys(tokens)
     glyphs = [token for token in table if token in _GLYPH_CELLS]
     phasors = [token for token in table if token not in _GLYPH_CELLS]
     decoded = _decode_phasors(phasors)
     if decoded is None:
-        cells: list[CellState] = []
         for token in phasors:
-            try:
-                cells.append(_parse_token(token, None, None))
-            except PatternError as err:
+            message = _token_error(token)
+            if message is not None:
                 index = tokens.index(token)
                 lineno, line = rows[index // width]
                 column = [m.start() for m in _TOKEN_RE.finditer(line)][index % width] + 1
-                raise PatternError(str(err), lineno, column) from None
-        decoded = [c.a for c in cells], [c.b for c in cells]
+                raise PatternError(message, lineno, column)
     a = np.array([_GLYPH_CELLS[token].a for token in glyphs] + decoded[0], dtype=np.complex128)
     b = np.concatenate([[_GLYPH_CELLS[token].b for token in glyphs], decoded[1]],
                        dtype=np.complex128)

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from phasorlife import Grid, PatternDocument, parse_pattern
+from phasorlife import Grid, PatternDocument, parse_pattern, rules
 
 PATTERNS_DIR = Path(__file__).resolve().parent.parent / "patterns"
 
@@ -22,6 +23,12 @@ def load_pattern(name: str) -> PatternDocument:
 def probability_drift(g1: Grid, g2: Grid) -> float:
     """Largest per-cell change of the alive probability |a|^2 between two grids."""
     return float(np.max(np.abs(g1.alive_probability() - g2.alive_probability())))
+
+
+def step_on_cpus(stepper, cpus: int, *args) -> Grid:
+    """``stepper(*args)`` in a process whose CPU affinity allows ``cpus`` CPUs."""
+    with mock.patch.object(rules, "_cpu_count", return_value=cpus):
+        return stepper(*args)
 
 
 def random_grid(rng: np.random.Generator, width: int, height: int, boundary=None) -> Grid:

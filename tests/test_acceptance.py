@@ -58,7 +58,7 @@ from phasorlife import (
     sweep_phase,
 )
 from phasorlife.oracle import BoolGrid
-from conftest import load_pattern, probability_drift, random_grid
+from conftest import load_pattern, probability_drift, random_grid, step_on_cpus
 
 from test_properties import _classical_mixture_step, polar_sum
 
@@ -382,17 +382,16 @@ class TestCriterion9InvariantSuites:
     def test_parallel_determinism_bit_exact(self):
         rng = np.random.default_rng(96)
         exact = True
-        # one-row bands, one band per thread and 8 CPUs: every worker count
-        # below really runs that many threads on the 8x8 grids
+        # one-row bands and one band per thread: every CPU count below
+        # really runs that many threads on the 8x8 grids
         with mock.patch.object(rules, "_BAND_CELLS", 8), \
-                mock.patch.object(rules, "_MIN_BANDS_PER_THREAD", 1), \
-                mock.patch.object(rules, "_cpu_count", return_value=8):
+                mock.patch.object(rules, "_MIN_BANDS_PER_THREAD", 1):
             for i in range(250):
                 g = random_grid(rng, 8, 8, Boundary.TORUS if i % 2 else Boundary.FIXED_DEAD)
-                base = step_grid(g, workers=1)
-                for workers in (2, 3, 8):
-                    other = step_grid(g, workers=workers)
+                base = step_on_cpus(step_grid, 1, g)
+                for cpus in (2, 3, 8):
+                    other = step_on_cpus(step_grid, cpus, g)
                     if not (np.array_equal(base.a, other.a) and np.array_equal(base.b, other.b)):
                         exact = False
-        report(9, exact, "parallel determinism: 250 grids x worker counts {1,2,3,8}, bit-exact")
+        report(9, exact, "parallel determinism: 250 grids x thread counts {1,2,3,8}, bit-exact")
         assert exact

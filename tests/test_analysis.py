@@ -632,6 +632,12 @@ class TestBurnRate:
         with pytest.raises(BurnRateUnmeasurable):
             measure_burn_rate(doc)
 
+    @pytest.mark.parametrize("max_gen", [1, 0, -5])
+    def test_fewer_than_three_frames_rejected(self, max_gen):
+        # max_gen + 1 frames, and a line through fewer than three fits anything
+        with pytest.raises(ValueError, match="max_gen must be at least 2"):
+            measure_burn_rate(load_pattern("wick_pair.sqp"), max_gen=max_gen)
+
     def test_steps_only_between_frames(self):
         # max_gen + 1 frames need max_gen steps
         with mock.patch.object(analysis, "step_grid", wraps=analysis.step_grid) as step:

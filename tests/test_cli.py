@@ -258,7 +258,8 @@ class TestOracleCheck:
         sqp.write_text("version 1\nsize 2 1\nboundary fixed\ncells\n0.5@0 .\n")
         rc = main(["oracle-check", "--pattern", str(sqp)])
         assert rc == 2
-        assert "non-classical token" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: non-classical token in pattern\n")
 
     def test_divergence_exits_3(self, tmp_path, capsys, monkeypatch):
         # force a divergence by sabotaging the engine step

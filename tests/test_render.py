@@ -19,6 +19,7 @@ from phasorlife import (
     render_csv,
     render_ppm,
 )
+from conftest import load_pattern
 from render_reference import (
     DIGESTS_PATH,
     frame_digests,
@@ -88,8 +89,16 @@ class TestPpm:
         assert render_ppm(g) == render_ppm(g)
 
     def test_rejects_bad_pixel_size(self):
-        with pytest.raises(ValueError):
-            RenderOptions(cell_pixel_size=0)
+        # 2.5 would write the header "P6\n50.0 50.0\n255\n" for the glider
+        for size in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                RenderOptions(cell_pixel_size=size)
+
+    def test_numpy_integer_pixel_size(self):
+        g = load_pattern("glider.sqp").grid
+        ppm = render_ppm(g, RenderOptions(cell_pixel_size=np.int64(3)))
+        assert ppm == render_ppm(g, RenderOptions(cell_pixel_size=3))
+        assert ppm.startswith(b"P6\n%d %d\n255\n" % (3 * g.width, 3 * g.height))
 
 
 class TestCsv:

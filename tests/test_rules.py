@@ -32,7 +32,7 @@ from phasorlife import (
     step_grid,
     swap_components,
 )
-from conftest import random_grid
+from conftest import random_grid, step_on_cpus
 import step_reference as reference
 
 SQ2 = math.sqrt(2.0)
@@ -292,18 +292,17 @@ class TestStepGrid:
                 return super().submit(fn, *args)
 
         g = random_grid(np.random.default_rng(13), 5, 20, Boundary.TORUS)
-        base = stepper(g, workers=1)
+        base = step_on_cpus(stepper, 1, g)
         # budget 5 cuts the 5x20 grid into 20 one-row bands
-        cases = [  # cpus, workers, min bands per thread, pool threads
-            (4, 16, 8, 1), (4, 16, 1, 3), (4, 3, 1, 2), (1, 16, 1, 0), (64, 100, 1, 19),
-            (64, 100, 7, 1), (64, None, 1, 19), (3, None, 1, 2), (64, 1, 1, 0),
+        cases = [  # cpus, min bands per thread, pool threads
+            (4, 8, 1), (4, 1, 3), (3, 1, 2), (2, 1, 1), (1, 1, 0), (64, 1, 19), (64, 7, 1),
+            (64, 20, 0),
         ]
         with mock.patch.object(rules, "ThreadPoolExecutor", RecordingPool), \
                 mock.patch.object(rules, "_BAND_CELLS", 5):
-            for cpus, workers, min_bands, helpers in cases:
-                with mock.patch.object(rules, "_cpu_count", return_value=cpus), \
-                        mock.patch.object(rules, "_MIN_BANDS_PER_THREAD", min_bands):
-                    other = stepper(g, workers=workers)
+            for cpus, min_bands, helpers in cases:
+                with mock.patch.object(rules, "_MIN_BANDS_PER_THREAD", min_bands):
+                    other = step_on_cpus(stepper, cpus, g)
                 if helpers:
                     pool = pools.pop()
                     # the caller steps a share of its own, so one task per helper
@@ -318,7 +317,7 @@ class TestStepGrid:
         # the helper stalls on its first band until the caller has stepped
         # every other band, which only a shared queue of bands lets it do
         g = random_grid(np.random.default_rng(15), 5, 20, Boundary.TORUS)
-        base = step_grid(g, workers=1)
+        base = step_on_cpus(step_grid, 1, g)
         step_band = rules._step_band
         caller, helper = [], []
         rest_done = threading.Event()
@@ -335,7 +334,7 @@ class TestStepGrid:
 
         with mock.patch.object(rules, "_step_band", band), \
                 mock.patch.object(rules, "_BAND_CELLS", 5), threads_on_every_band(cpus=2):
-            got = step_grid(g, workers=2)
+            got = step_grid(g)
         # budget 5 cuts the 5x20 grid into 20 one-row bands, each stepped once
         assert len(caller) + len(helper) == g.height
         assert len(helper) <= 1
@@ -348,11 +347,10 @@ class TestStepGrid:
         # 40x40 is one band and 256x256 two at the default budget: a helper
         # thread would cost its own malloc arena and save no time
         g = random_grid(np.random.default_rng(14), side, side, Boundary.TORUS)
-        base = stepper(g, workers=1)
-        with mock.patch.object(rules, "ThreadPoolExecutor", side_effect=AssertionError), \
-                mock.patch.object(rules, "_cpu_count", return_value=64):
-            for workers in (None, 2, 64):
-                other = stepper(g, workers=workers)
+        base = step_on_cpus(stepper, 1, g)
+        with mock.patch.object(rules, "ThreadPoolExecutor", side_effect=AssertionError):
+            for cpus in (2, 64):
+                other = step_on_cpus(stepper, cpus, g)
                 assert other.a.tobytes() == base.a.tobytes()
                 assert other.b.tobytes() == base.b.tobytes()
 
@@ -370,7 +368,7 @@ class TestStepGrid:
                 mock.patch.object(rules, "_cpu_count", return_value=2):
             for w, h, expected in ((1024, 512, [1]), (512, 512, [])):
                 g = random_grid(np.random.default_rng(16), w, h, Boundary.TORUS)
-                base = step_grid(g, workers=1)
+                base = step_on_cpus(step_grid, 1, g)
                 assert not helpers
                 got = step_grid(g)
                 assert helpers == expected
@@ -378,31 +376,40 @@ class TestStepGrid:
                 assert got.b.tobytes() == base.b.tobytes()
                 helpers.clear()
 
-    @pytest.mark.parametrize("workers", [0, -1, True, False, 2.0, "2"])
     @pytest.mark.parametrize("stepper", [step_grid, dual_step_grid])
-    def test_rejects_bad_worker_counts(self, stepper, workers):
-        with pytest.raises(ValueError, match="workers"):
-            stepper(block(), workers=workers)
-
-    @pytest.mark.parametrize("stepper", [step_grid, dual_step_grid])
-    def test_default_workers_is_every_cpu(self, stepper):
+    def test_threads_follow_every_cpu_the_process_may_use(self, stepper):
         g = random_grid(np.random.default_rng(15), 7, 9, Boundary.TORUS)
-        base = stepper(g, workers=1)
-        for workers in (None, np.int64(3)):
-            other = stepper(g, workers=workers)
-            assert other.a.tobytes() == base.a.tobytes()
-            assert other.b.tobytes() == base.b.tobytes()
+        base = step_on_cpus(stepper, 1, g)
+        other = stepper(g)
+        assert other.a.tobytes() == base.a.tobytes()
+        assert other.b.tobytes() == base.b.tobytes()
         affinity = getattr(rules.os, "sched_getaffinity", None)
         expected = len(affinity(0)) if affinity else rules.os.cpu_count() or 1
         assert rules._cpu_count() == expected
-        assert rules._worker_count(None) == expected
+
+    @pytest.mark.parametrize("stepper", [step_grid, dual_step_grid])
+    def test_cpu_affinity_caps_the_threads(self, stepper):
+        # one-row bands cut the 8x64 grid into 64 bands, enough for eight threads,
+        # so the affinity set by taskset or os.sched_setaffinity is the only cap
+        g = random_grid(np.random.default_rng(17), 8, 64, Boundary.TORUS)
+        results = {}
+        with mock.patch.object(rules, "_BAND_CELLS", 8):
+            for cpus, helpers in (({0}, []), ({0, 1}, [1])):
+                with mock.patch.object(rules.os, "sched_getaffinity", create=True,
+                                       return_value=cpus), \
+                        mock.patch.object(rules, "ThreadPoolExecutor",
+                                          wraps=ThreadPoolExecutor) as pool:
+                    results[len(cpus)] = stepper(g)
+                assert [call.kwargs["max_workers"] for call in pool.call_args_list] == helpers
+        assert results[1].a.tobytes() == results[2].a.tobytes()
+        assert results[1].b.tobytes() == results[2].b.tobytes()
 
     def test_partitioned_execution_bit_exact(self):
         rng = np.random.default_rng(12)
         g = random_grid(rng, 9, 7, Boundary.TORUS)
-        base = step_grid(g)
-        for workers in (2, 3, 5, 16):
-            other = step_grid(g, workers=workers)
+        base = step_on_cpus(step_grid, 1, g)
+        for cpus in (2, 3, 5, 16):
+            other = step_on_cpus(step_grid, cpus, g)
             assert np.array_equal(base.a, other.a)
             assert np.array_equal(base.b, other.b)
 
@@ -470,8 +477,8 @@ class TestDuality:
                     got = stepped.cell(x, y)
                     assert abs(got.a - expected.b) < 1e-12
                     assert abs(got.b - expected.a) < 1e-12
-        for workers in (1, 2):
-            assert dual_step_grid(cancelling, cfg, workers=workers).cell(1, 1) == ALIVE
+        for cpus in (1, 2):
+            assert step_on_cpus(dual_step_grid, cpus, cancelling, cfg).cell(1, 1) == ALIVE
 
     def test_random_grids(self):
         rng = np.random.default_rng(21)
@@ -551,7 +558,7 @@ def threads_on_every_band(cpus=8):
 
 
 class TestWorkerIndependence:
-    """The band cut follows the width alone, so every worker count gives the same bits."""
+    """The band cut follows the width alone, so every thread count gives the same bits."""
 
     @staticmethod
     def nan_soup(boundary):
@@ -574,10 +581,10 @@ class TestWorkerIndependence:
             cur = self.nan_soup(boundary)
             with mock.patch.object(rules, "_BAND_CELLS", band_cells), threads_on_every_band():
                 for _ in range(2):
-                    base = stepper(cur, cfg, workers=1)
+                    base = step_on_cpus(stepper, 1, cur, cfg)
                     assert np.isnan(base.a).any() and np.isnan(base.b).any()
-                    for workers in range(2, 6):
-                        got = stepper(cur, cfg, workers=workers)
+                    for cpus in range(2, 6):
+                        got = step_on_cpus(stepper, cpus, cur, cfg)
                         assert got.a.tobytes() == base.a.tobytes()
                         assert got.b.tobytes() == base.b.tobytes()
                     cur = base
@@ -597,8 +604,8 @@ class TestMatchesReference:
                     cur = g
                     for _ in range(generations):
                         expected = ref_stepper(cur, cfg)
-                        for workers in range(1, 6):
-                            got = stepper(cur, cfg, workers=workers)
+                        for cpus in range(1, 6):
+                            got = step_on_cpus(stepper, cpus, cur, cfg)
                             assert exact_bytes(got.a) == exact_bytes(expected.a)
                             assert exact_bytes(got.b) == exact_bytes(expected.b)
                             assert got.boundary is cur.boundary
@@ -630,8 +637,8 @@ class TestMatchesReference:
         expected = reference.ref_step_grid(g)
         parts = np.concatenate([expected.a.view(np.float64), expected.b.view(np.float64)])
         assert (np.signbit(parts) & (parts == 0.0)).any()
-        for workers in (1, 2):
-            got = step_grid(g, workers=workers)
+        for cpus in (1, 2):
+            got = step_on_cpus(step_grid, cpus, g)
             assert got.a.tobytes() == expected.a.tobytes()
             assert got.b.tobytes() == expected.b.tobytes()
 

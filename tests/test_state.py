@@ -293,7 +293,7 @@ EDGE_TOKENS = [
 BAD_TOKENS = [
     "x", "o", "*", "1", "..", ">>", "@", "@0", "0.5@", "nan@0", "0.5@nan", "inf@0",
     "0.5@inf", "-inf@0", "0.5@-inf", f"{math.nextafter(1.0, 2.0)!r}@0", "1.5@0", "-1e-300@0",
-    "0.5@360", "0.5@-360", "0.5@@1", "0.5@1@2", "_1@0", "0_.5@1", "0.5@1_", "0x1p-1@0",
+    "0.5@360", "0.5@-360", "1.5@360", "0.5@@1", "0.5@1@2", "_1@0", "0_.5@1", "0.5@1_", "0x1p-1@0",
 ]
 # Separators that str.split() and the reference's \S+ regex both split rows on,
 # and line breaks, which also split lines.
@@ -414,7 +414,7 @@ class TestMatchesReference:
 
 
 class TestBatchDecode:
-    """Valid ``amp@deg`` tokens are decoded in one batch; one at a time only to report an error."""
+    """Valid ``amp@deg`` tokens are decoded in one batch; checked one at a time only on an error."""
 
     def document(self, bad_token=None):
         # a 64x64 torus of about 4,000 distinct tokens, the edge tokens first
@@ -429,23 +429,23 @@ class TestBatchDecode:
         rows = (" ".join(tokens[i:i + 64]) for i in range(0, len(tokens), 64))
         return header(64, 64) + "\n".join(rows) + "\n"
 
-    def count_token_decodes(self, monkeypatch):
+    def count_token_checks(self, monkeypatch):
         calls = []
-        one_token = state._parse_token
-        monkeypatch.setattr(state, "_parse_token", lambda *args: calls.append(args) or one_token(*args))
+        check = state._token_error
+        monkeypatch.setattr(state, "_token_error", lambda t: calls.append(t) or check(t))
         return calls
 
     def test_valid_document_decodes_no_token_alone(self, monkeypatch):
-        calls = self.count_token_decodes(monkeypatch)
+        calls = self.count_token_checks(monkeypatch)
         assert_parses_like_reference(self.document())
         assert calls == []
 
     @pytest.mark.parametrize("token", ["0.5@inf", "nan@0", "1.5@0", "0.5@360", "x", "0.5@@1"])
     def test_bad_token_after_thousands_of_valid_ones(self, monkeypatch, token):
-        calls = self.count_token_decodes(monkeypatch)
+        calls = self.count_token_checks(monkeypatch)
         text = self.document(token)
         assert_parses_like_reference(text)
         with pytest.raises(PatternError) as err:
             parse_pattern(text)
         assert err.value.line == 5 + 62 and token in str(err.value)  # rows start on line 5
-        assert calls[-1][0] == token
+        assert calls[-1] == token
