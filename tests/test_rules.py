@@ -333,8 +333,8 @@ class TestStepGrid:
             return step_band(live, dead, alpha)
 
         with mock.patch.object(rules, "_step_band", band), \
-                mock.patch.object(rules, "_BAND_CELLS", 5), threads_on_every_band(cpus=2):
-            got = step_grid(g)
+                mock.patch.object(rules, "_BAND_CELLS", 5), threads_on_every_band():
+            got = step_on_cpus(step_grid, 2, g)
         # budget 5 cuts the 5x20 grid into 20 one-row bands, each stepped once
         assert len(caller) + len(helper) == g.height
         assert len(helper) <= 1
@@ -550,10 +550,9 @@ def exact_bytes(z: np.ndarray) -> bytes:
 
 
 @contextlib.contextmanager
-def threads_on_every_band(cpus=8):
-    """Let the core give each thread a single band, on up to ``cpus`` threads."""
-    with mock.patch.object(rules, "_MIN_BANDS_PER_THREAD", 1), \
-            mock.patch.object(rules, "_cpu_count", return_value=cpus):
+def threads_on_every_band():
+    """Let the core give each thread a single band."""
+    with mock.patch.object(rules, "_MIN_BANDS_PER_THREAD", 1):
         yield
 
 
