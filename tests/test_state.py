@@ -449,3 +449,11 @@ class TestBatchDecode:
             parse_pattern(text)
         assert err.value.line == 5 + 62 and token in str(err.value)  # rows start on line 5
         assert calls[-1] == token
+
+    @pytest.mark.parametrize(
+        "token", [t for t in EDGE_TOKENS + BAD_TOKENS if t not in state._GLYPH_CELLS])
+    def test_batch_refuses_exactly_the_tokens_the_check_names(self, token):
+        # _decode_cells reads the batch's coefficients whenever the check names no
+        # token, so a token only one of them refuses would slip through or crash
+        refused = state._decode_phasors(["0.6@90", token, "1@0"]) is None
+        assert refused == (state._token_error(token) is not None) == (token in BAD_TOKENS)
