@@ -423,7 +423,7 @@ def measure_burn_rate(
     extents: list[int] = []
     axis: str | None = None
     for g in evolve(doc.grid, cfg, max_gen):
-        mask = g.alive_probability() > cfg.dead_threshold
+        mask = g.alive_probability() >= cfg.dead_threshold  # as in classify, equal is live
         if not mask.any():
             if len(extents) < 3:
                 raise BurnRateUnmeasurable(

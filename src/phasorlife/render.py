@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,17 +21,6 @@ STRONG_AMPLITUDE = 0.9
 # with |a| >= 0.9, double-stroke arrows mark partial amplitudes.
 STRONG_ARROWS = "→↗↑↖←↙↓↘"
 FAINT_ARROWS = "⇒⇗⇑⇖⇐⇙⇓⇘"
-
-
-@dataclass(frozen=True)
-class RenderOptions:
-    cell_pixel_size: int = 1
-
-    def __post_init__(self) -> None:
-        size = self.cell_pixel_size
-        # a float would reach the PPM header as "2.5", and True would pass as 1
-        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
-            raise ValueError(f"cell_pixel_size must be a positive integer, got {size!r}")
 
 
 # Cells per row block. Every renderer works one block of rows at a time, so its
@@ -89,9 +77,15 @@ def render_ascii(g: Grid) -> str:
     return "".join(parts)
 
 
-def render_ppm(g: Grid, opts: RenderOptions | None = None) -> bytes:
-    """Binary P6 image: hue from the phase of a, brightness |a|^2, dead cells black."""
-    size = (opts or RenderOptions()).cell_pixel_size
+def render_ppm(g: Grid, cell_pixel_size: int = 1) -> bytes:
+    """Binary P6 image: hue from the phase of a, brightness |a|^2, dead cells black.
+
+    Each cell is a ``cell_pixel_size`` square of pixels.
+    """
+    size = cell_pixel_size
+    # a float would reach the PPM header as "2.5", and True would pass as 1
+    if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+        raise ValueError(f"cell_pixel_size must be a positive integer, got {size!r}")
     parts = [f"P6\n{g.width * size} {g.height * size}\n255\n".encode("ascii")]
     for rows in _row_blocks(g):
         a = g.a[rows]

@@ -36,8 +36,8 @@ class CellState:
     a: complex
     b: complex
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) <= NORM_TOL
 
 
 DEAD = CellState(0j, 1 + 0j)
@@ -177,9 +177,9 @@ class Grid:
     def total_alive_probability(self) -> float:
         return float(np.sum(np.abs(self._a) ** 2))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
+    def is_normalized(self) -> bool:
         norms = np.abs(self._a) ** 2 + np.abs(self._b) ** 2
-        return bool(np.all(np.abs(norms - 1.0) <= tol))
+        return bool(np.all(np.abs(norms - 1.0) <= NORM_TOL))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
@@ -202,7 +202,6 @@ class PatternDocument:
     """A parsed pattern file: grid content plus optional metadata."""
 
     grid: Grid
-    version: int = 1
     name: str | None = None
     comment: str | None = None
 
@@ -398,7 +397,7 @@ def parse_pattern(text: str) -> PatternDocument:
 
     a, b = _decode_cells(tokens, rows, width)
     grid = Grid(a.reshape(height, width), b.reshape(height, width), boundary)
-    return PatternDocument(grid=grid, version=version, name=name, comment=comment)
+    return PatternDocument(grid=grid, name=name, comment=comment)
 
 
 _CELL_GLYPHS = {cell.a: glyph for glyph, cell in _GLYPH_CELLS.items()}
@@ -409,8 +408,12 @@ def _cell_token(a: complex) -> str:
     glyph = _CELL_GLYPHS.get(a)
     if glyph is not None:
         return glyph
-    # amp may exceed 1 by an ulp on normalized cells; clamp so the token re-parses
-    amp = min(abs(a), 1.0)
+    amp = abs(a)
+    # clamping this far would break the 1e-9 round trip that serialize_pattern promises
+    if amp > 1.0 + 1e-9:
+        raise ValueError(f"cell amplitude {amp!r} exceeds 1; no token can carry it")
+    # amp may exceed 1 by a few ulps on normalized cells; clamp so the token re-parses
+    amp = min(amp, 1.0)
     deg = math.degrees(cmath.phase(a))
     return f"{amp:.17g}@{deg:.17g}"
 
@@ -420,13 +423,11 @@ def serialize_pattern(doc: PatternDocument) -> str:
 
     Only the a coefficient of each cell is preserved; b is re-derived as the
     nonnegative real complement on parse. Re-parsing reproduces every a within
-    1e-9 (exactly, for glyph tokens). A version other than 1, or a name or
-    comment holding a line break or surrounding whitespace, raises ValueError,
-    since the file could not be read back as it was. An empty name or comment
-    is written as absent.
+    1e-9 (exactly, for glyph tokens). A name or comment holding a line break
+    or surrounding whitespace, or a cell with |a| > 1 + 1e-9, raises
+    ValueError, since the file could not be read back as it was. An empty name
+    or comment is written as absent.
     """
-    if doc.version != 1:
-        raise ValueError(f"unsupported pattern version {doc.version}")
     g = doc.grid
     lines: list[str] = []
     for label, value in (("name", doc.name), ("comment", doc.comment)):

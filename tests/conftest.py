@@ -4,16 +4,10 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-import pytest
 
 from phasorlife import Grid, PatternDocument, parse_pattern, rules
 
 PATTERNS_DIR = Path(__file__).resolve().parent.parent / "patterns"
-
-
-@pytest.fixture
-def patterns_dir() -> Path:
-    return PATTERNS_DIR
 
 
 def load_pattern(name: str) -> PatternDocument:

@@ -141,4 +141,4 @@ def parse_pattern(text: str) -> PatternDocument:
         raise PatternError("unexpected content after cell rows", significant[pos][0])
 
     grid = Grid.from_cells(width, height, cells, boundary)
-    return PatternDocument(grid=grid, version=version, name=name, comment=comment)
+    return PatternDocument(grid=grid, name=name, comment=comment)

@@ -3,20 +3,18 @@
 This is ``step_grid`` and ``dual_step_grid`` as they were before the four
 mix/normalize branches were folded into one banded core: full-grid
 ``np.pad`` alpha, masked fancy-index weights, one ``_mixed_raw`` and one
-``_normalized_pair`` pass over the whole grid (or over each worker's band).
+``_normalized_pair`` pass over the whole grid.
 It plays the role ``step_cell`` plays for the stepper's arithmetic and
 ``render_reference.py`` for the renderers: ``tests/test_rules.py`` asserts
 that ``phasorlife.step_grid`` and ``phasorlife.dual_step_grid`` give the same
 ``a``/``b`` bytes on every grid it tries. Only the two public names are
 renamed (``ref_`` prefix), and the result is wrapped with ``Grid._adopt``
 instead of ``Grid(...)``, which now refuses the NaN and infinite cells the
-tests step; the bodies are otherwise copied verbatim.
+tests step; the bodies are otherwise copied verbatim, without their row-band
+threading.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -89,48 +87,22 @@ def _normalized_pair(
     return out_live, out_dead
 
 
-def _band_slices(height: int, workers: int) -> list[slice]:
-    pieces = np.array_split(np.arange(height), max(1, min(workers, height)))
-    return [slice(int(p[0]), int(p[-1]) + 1) for p in pieces if len(p)]
-
-
-def _map_bands(compute, height: int, workers: int) -> None:
-    """Run ``compute`` on each of ``workers`` row bands, with at most one thread per CPU."""
-    bands = _band_slices(height, workers)
-    with ThreadPoolExecutor(max_workers=min(len(bands), os.cpu_count() or 1)) as pool:
-        list(pool.map(compute, bands))
-
-
-def ref_step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) -> Grid:
+def ref_step_grid(g: Grid, cfg: StepConfig | None = None) -> Grid:
     """Synchronous update of the whole grid.
 
-    Pure function: the input grid is untouched and the result is bit-identical
-    for any worker count, because every cell reads only the previous
-    generation and the per-cell arithmetic is independent of partitioning.
+    Pure function: the input grid is untouched, because every cell reads only
+    the previous generation.
     """
     cfg = cfg or DEFAULT_CONFIG
     alpha = _alpha_array(g.a, g.boundary)
-    a, b = g.a, g.b
-    if workers > 1:
-        new_a = np.empty_like(a)
-        new_b = np.empty_like(b)
-
-        def compute(band: slice) -> None:
-            raw_a, raw_b = _mixed_raw(a[band], b[band], alpha[band])
-            na, nb = _normalized_pair(raw_a, raw_b, 0j, 1 + 0j)
-            new_a[band] = na
-            new_b[band] = nb
-
-        _map_bands(compute, g.height, workers)
-    else:
-        raw_a, raw_b = _mixed_raw(a, b, alpha)
-        new_a, new_b = _normalized_pair(raw_a, raw_b, 0j, 1 + 0j)
+    raw_a, raw_b = _mixed_raw(g.a, g.b, alpha)
+    new_a, new_b = _normalized_pair(raw_a, raw_b, 0j, 1 + 0j)
     if cfg.canonicalize_dead_phase:
         new_b = np.abs(new_b).astype(np.complex128)
     return Grid._adopt(new_a, new_b, g.boundary)
 
 
-def ref_dual_step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int = 1) -> Grid:
+def ref_dual_step_grid(g: Grid, cfg: StepConfig | None = None) -> Grid:
     """Mirror stepper with the roles of the two components exchanged.
 
     Neighbor sums run over the b coefficients, birth fills the b slot, death
@@ -141,21 +113,8 @@ def ref_dual_step_grid(g: Grid, cfg: StepConfig | None = None, *, workers: int =
     """
     cfg = cfg or DEFAULT_CONFIG
     alpha = _alpha_array(g.b, g.boundary)
-    a, b = g.a, g.b
-    if workers > 1:
-        new_a = np.empty_like(a)
-        new_b = np.empty_like(b)
-
-        def compute(band: slice) -> None:
-            raw_b, raw_a = _mixed_raw(b[band], a[band], alpha[band])
-            nb, na = _normalized_pair(raw_b, raw_a, 0j, 1 + 0j)
-            new_a[band] = na
-            new_b[band] = nb
-
-        _map_bands(compute, g.height, workers)
-    else:
-        raw_b, raw_a = _mixed_raw(b, a, alpha)
-        new_b, new_a = _normalized_pair(raw_b, raw_a, 0j, 1 + 0j)
+    raw_b, raw_a = _mixed_raw(g.b, g.a, alpha)
+    new_b, new_a = _normalized_pair(raw_b, raw_a, 0j, 1 + 0j)
     if cfg.canonicalize_dead_phase:
         new_a = np.abs(new_a).astype(np.complex128)
     return Grid._adopt(new_a, new_b, g.boundary)

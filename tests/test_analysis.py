@@ -17,6 +17,7 @@ from phasorlife import (
     CellState,
     Grid,
     PatternDocument,
+    StepConfig,
     classify,
     conway_step,
     lift,
@@ -631,6 +632,16 @@ class TestBurnRate:
         doc = load_pattern("block_phase_pi.sqp")
         with pytest.raises(BurnRateUnmeasurable):
             measure_burn_rate(doc)
+
+    def test_cell_at_the_dead_threshold_counts_as_live(self):
+        # classify calls a map dead only below the threshold, so generation 0 is a frame
+        a = np.zeros((3, 3), complex)
+        a[1, 1] = 0.5
+        g = Grid(a, np.sqrt(1.0 - np.abs(a) ** 2).astype(complex))
+        cfg = StepConfig(dead_threshold=0.25)
+        assert classify(g, cfg).generation == 1
+        with pytest.raises(BurnRateUnmeasurable, match="died after 1 frames"):
+            measure_burn_rate(PatternDocument(grid=g), cfg)
 
     @pytest.mark.parametrize("max_gen", [1, 0, -5])
     def test_fewer_than_three_frames_rejected(self, max_gen):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -11,7 +12,9 @@ from unittest import mock
 
 import pytest
 
-from phasorlife import FateReport, analysis, parse_pattern, render_ascii, render_csv, render_ppm
+from phasorlife import (
+    FateReport, analysis, cli, parse_pattern, render_ascii, render_csv, render_ppm,
+)
 from phasorlife.cli import main
 from conftest import PATTERNS_DIR
 
@@ -301,6 +304,32 @@ class TestExitPaths:
                  "missing": str(tmp_path / "nope.sqp")}
         assert main([arg.format(**paths) for arg in argv]) == code
         assert capsys.readouterr().err.startswith("usage error: " if code == 1 else "error: ")
+
+
+class TestTracedNames:
+    """The benchmark tracer replaces these module attributes; each must be looked up per call."""
+
+    TRACED = [(cli, name) for name in ("parse_pattern", "step_grid", "classify", "sweep_phase",
+                                       "render_ascii", "render_ppm", "render_csv",
+                                       "conway_step", "project")]
+    TRACED += [(analysis, "step_grid"), (analysis, "classify")]
+
+    def test_every_traced_name_is_called(self, tmp_path, capsys):
+        glider, block = pattern("glider.sqp"), pattern("block.sqp")
+        with contextlib.ExitStack() as stack:
+            wrappers = {
+                f"{module.__name__}.{name}": stack.enter_context(
+                    mock.patch.object(module, name, wraps=getattr(module, name)))
+                for module, name in self.TRACED
+            }
+            for fmt in ("ascii", "ppm", "csv"):
+                assert main(["run", "--pattern", glider, "--generations", "1",
+                             "--format", fmt, "--output", str(tmp_path / fmt)]) == 0
+            assert main(["analyze", "--pattern", glider, "--generations", "8"]) == 0
+            assert main(["sweep", "--pattern", block, "--cell", "3", "3", "--steps", "2",
+                         "--generations", "8"]) == 0
+            assert main(["oracle-check", "--pattern", glider, "--generations", "2"]) == 0
+        assert [name for name, wrapper in wrappers.items() if not wrapper.called] == []
 
 
 class TestEntryPoint:

@@ -71,7 +71,7 @@ def bool_grids(draw, max_side=8):
 @given(finite, finite, finite, finite)
 def test_normalize_total_and_idempotent(ra, ia, rb, ib):
     c = normalize(complex(ra, ia), complex(rb, ib))
-    assert c.is_normalized(1e-9)
+    assert c.is_normalized()
     c2 = normalize(c.a, c.b)
     assert abs(c2.a - c.a) < 1e-12
     assert abs(c2.b - c.b) < 1e-12
@@ -93,7 +93,7 @@ def test_pattern_roundtrip_preserves_a(g):
 @settings(deadline=None)
 @given(grids())
 def test_step_preserves_normalization(g):
-    assert step_grid(g).is_normalized(1e-9)
+    assert step_grid(g).is_normalized()
 
 
 @settings(deadline=None)

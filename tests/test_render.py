@@ -14,7 +14,6 @@ from phasorlife import (
     ALIVE,
     CellState,
     Grid,
-    RenderOptions,
     render_ascii,
     render_csv,
     render_ppm,
@@ -75,8 +74,7 @@ class TestPpm:
         assert g == 255 and b == 0 and 0 < r < 255
 
     def test_pixel_scaling(self):
-        opts = RenderOptions(cell_pixel_size=3)
-        data = render_ppm(Grid.dead(2, 1), opts)
+        data = render_ppm(Grid.dead(2, 1), 3)
         assert data.startswith(b"P6\n6 3\n255\n")
         assert len(data) == len(b"P6\n6 3\n255\n") + 6 * 3 * 3
 
@@ -92,12 +90,12 @@ class TestPpm:
         # 2.5 would write the header "P6\n50.0 50.0\n255\n" for the glider
         for size in (0, 2.5, True):
             with pytest.raises(ValueError):
-                RenderOptions(cell_pixel_size=size)
+                render_ppm(Grid.dead(1, 1), size)
 
     def test_numpy_integer_pixel_size(self):
         g = load_pattern("glider.sqp").grid
-        ppm = render_ppm(g, RenderOptions(cell_pixel_size=np.int64(3)))
-        assert ppm == render_ppm(g, RenderOptions(cell_pixel_size=3))
+        ppm = render_ppm(g, np.int64(3))
+        assert ppm == render_ppm(g, 3)
         assert ppm.startswith(b"P6\n%d %d\n255\n" % (3 * g.width, 3 * g.height))
 
 
@@ -199,8 +197,7 @@ def assert_matches_reference(g: Grid, pixel_sizes=range(1, 5)) -> None:
     assert render_ascii(g) == ref_render_ascii(g)
     assert render_csv(g) == ref_render_csv(g)
     for size in pixel_sizes:
-        opts = RenderOptions(cell_pixel_size=size)
-        assert render_ppm(g, opts) == ref_render_ppm(g, size)
+        assert render_ppm(g, size) == ref_render_ppm(g, size)
 
 
 class TestMatchesReference:
@@ -221,8 +218,5 @@ class TestMatchesReference:
 
 class TestGoldenDigests:
     def test_shipped_patterns(self):
-        def ppm(g: Grid, size: int) -> bytes:
-            return render_ppm(g, RenderOptions(cell_pixel_size=size))
-
         expected = json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
-        assert frame_digests(render_ascii, ppm, render_csv) == expected
+        assert frame_digests(render_ascii, render_ppm, render_csv) == expected

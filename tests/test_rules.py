@@ -424,7 +424,7 @@ class TestStepGrid:
                         g = cell_grid(3, 3, {positions[i]: p1, positions[j]: p2})
                         for _ in range(4):
                             g = step_grid(g)
-                            assert g.is_normalized(1e-9)
+                            assert g.is_normalized()
                             assert np.all(np.isfinite(g.a.real))
                             assert np.all(np.isfinite(g.b.real))
 

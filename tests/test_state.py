@@ -244,9 +244,16 @@ class TestSerialize:
         assert doc.name == ""
         assert serialize_pattern(doc) == "version 1\nsize 1 1\nboundary fixed\ncells\n.\n"
 
-    def test_rejects_a_version_the_parser_rejects(self):
-        with pytest.raises(ValueError, match="unsupported pattern version 2"):
-            serialize_pattern(PatternDocument(grid=Grid.dead(1, 1), version=2))
+    @pytest.mark.parametrize("a", [2 + 0j, 1 + 1e-8])
+    def test_rejects_an_amplitude_over_one(self, a):
+        # the token would be clamped to 1@0, which parses back more than 1e-9 away
+        with pytest.raises(ValueError, match="exceeds 1"):
+            serialize_pattern(PatternDocument(grid=Grid([[a]], [[0j]])))
+
+    def test_clamps_an_amplitude_an_ulp_over_one(self):
+        a = complex(math.nextafter(1.0, 2.0), 0.0)
+        text = serialize_pattern(PatternDocument(grid=Grid([[a]], [[0j]])))
+        assert abs(parse_pattern(text).grid.cell(0, 0).a - a) < 1e-9
 
     def test_amp_deg_fallback(self):
         c = normalize(0.5 * cmath.exp(1j * 0.7), 0.9j)
@@ -345,8 +352,7 @@ def parse_outcome(parse, text):
     except Exception as err:
         return (type(err), str(err), getattr(err, "line", None), getattr(err, "column", None))
     g = doc.grid
-    return (g.a.shape, g.boundary, g.a.tobytes(), g.b.tobytes(), doc.version, doc.name,
-            doc.comment)
+    return (g.a.shape, g.boundary, g.a.tobytes(), g.b.tobytes(), doc.name, doc.comment)
 
 
 def assert_parses_like_reference(text):
