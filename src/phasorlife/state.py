@@ -227,6 +227,36 @@ _GLYPH_CELLS = {
 }
 
 _TOKEN_RE = re.compile(r"\S+")
+_SIZE_RE = re.compile(r"-?[0-9]+")
+
+# byte -> index into _GLYPH_A/_GLYPH_B, 255 for every byte that is not a glyph
+_GLYPH_CODES = np.full(256, 255, dtype=np.uint8)
+_GLYPH_CODES[[ord(glyph) for glyph in _GLYPH_CELLS]] = np.arange(len(_GLYPH_CELLS))
+# built from the cells, so v's -1j keeps its signed-zero real part
+_GLYPH_A = np.array([cell.a for cell in _GLYPH_CELLS.values()], dtype=np.complex128)
+_GLYPH_B = np.array([cell.b for cell in _GLYPH_CELLS.values()], dtype=np.complex128)
+
+
+def _decode_glyph_rows(
+    lines: list[str], width: int, height: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The a and b coefficients of ``height`` rows of glyphs one space apart, or None.
+
+    Each line must be ``2 * width - 1`` ASCII characters: a glyph at every even
+    offset and a single space at every odd one. The rows are read as one byte
+    block; anything else, including every error, is left to the token path.
+    """
+    span = 2 * width - 1
+    if len(lines) != height or any(len(line) != span for line in lines):
+        return None
+    text = "".join(lines)
+    if not text.isascii():
+        return None
+    block = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(height, span)
+    codes = _GLYPH_CODES[block[:, ::2]]
+    if codes.max() == 255 or (block[:, 1::2] != 0x20).any():
+        return None
+    return _GLYPH_A[codes], _GLYPH_B[codes]
 
 
 def _token_error(token: str) -> str | None:
@@ -312,7 +342,14 @@ def parse_pattern(text: str) -> PatternDocument:
 
     Grammar: optional comment/blank lines anywhere, then the header lines
     ``version 1``, ``size W H``, ``boundary fixed|torus``, ``cells``, then
-    exactly H rows of exactly W whitespace-separated tokens.
+    exactly H rows of exactly W whitespace-separated tokens. The header values
+    are ASCII decimal integers: ``[0-9]+`` for the version, ``-?[0-9]+`` for
+    the size (zero and negative sizes are refused as not positive).
+
+    When the H rows are the last significant lines and each is W glyphs one
+    ASCII space apart, with no other character, they are read as one byte
+    block. Every other document, every error included, takes the token path:
+    ``str.split`` on each row, then ``_decode_cells``.
     """
     name: str | None = None
     comment: str | None = None
@@ -346,20 +383,22 @@ def parse_pattern(text: str) -> PatternDocument:
     fields = line.split()
     if not fields or fields[0] != "version":
         raise PatternError(f"expected 'version', got {fields[0]!r}", lineno)
-    if len(fields) != 2 or not fields[1].isdecimal():  # int() rejects digits such as '²'
+    if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
         raise PatternError("malformed version header", lineno)
-    version = int(fields[1])
-    if version != 1:
+    version = fields[1].lstrip("0") or "0"  # int() refuses more than 4,300 digits
+    if version != "1":
         raise PatternError(f"unsupported pattern version {version}", lineno)
 
     lineno, line = next_line("'size' header")
     fields = line.split()
     if len(fields) != 3 or fields[0] != "size":
         raise PatternError("malformed size header; expected 'size <width> <height>'", lineno)
+    if not (_SIZE_RE.fullmatch(fields[1]) and _SIZE_RE.fullmatch(fields[2])):
+        raise PatternError("size values must be integers", lineno)
     try:
         width = int(fields[1])
         height = int(fields[2])
-    except ValueError:
+    except ValueError:  # more digits than int() converts
         raise PatternError("size values must be integers", lineno) from None
     if width < 1 or height < 1:
         raise PatternError("size values must be positive", lineno)
@@ -376,6 +415,10 @@ def parse_pattern(text: str) -> PatternDocument:
     lineno, line = next_line("'cells' header")
     if line.split() != ["cells"]:
         raise PatternError("expected 'cells' header", lineno)
+
+    glyphs = _decode_glyph_rows([line for _, line in significant[pos:]], width, height)
+    if glyphs is not None:
+        return PatternDocument(grid=Grid(*glyphs, boundary), name=name, comment=comment)
 
     rows: list[tuple[int, str]] = []
     tokens: list[str] = []

@@ -2,9 +2,10 @@
 
 This is ``parse_pattern`` as it was before the cell section was rewritten: one
 ``_TOKEN_RE`` scan per row, one ``_parse_token`` call and one ``CellState``
-per token, and a ``Grid.from_cells`` round trip. It plays the role
-``step_cell`` plays for the stepper and ``render_reference.py`` for the
-renderers: ``tests/test_state.py`` asserts that ``phasorlife.parse_pattern``
+per token, and a ``Grid.from_cells`` round trip. Its header values have
+since been narrowed, in step with the parser, to ASCII decimal integers. It
+plays the role ``step_cell`` plays for the stepper and ``render_reference.py``
+for the renderers: ``tests/test_state.py`` asserts that ``phasorlife.parse_pattern``
 gives the same ``a``/``b`` bits, or the same ``PatternError`` (message, line
 and column), on every document it tries.
 """
@@ -95,16 +96,18 @@ def parse_pattern(text: str) -> PatternDocument:
     fields = line.split()
     if not fields or fields[0] != "version":
         raise PatternError(f"expected 'version', got {fields[0]!r}", lineno)
-    if len(fields) != 2 or not fields[1].isdigit():
+    if len(fields) != 2 or not re.fullmatch(r"[0-9]+", fields[1]):
         raise PatternError("malformed version header", lineno)
-    version = int(fields[1])
-    if version != 1:
+    version = fields[1].lstrip("0") or "0"  # int() refuses more than 4,300 digits
+    if version != "1":
         raise PatternError(f"unsupported pattern version {version}", lineno)
 
     lineno, line = next_line("'size' header")
     fields = line.split()
     if len(fields) != 3 or fields[0] != "size":
         raise PatternError("malformed size header; expected 'size <width> <height>'", lineno)
+    if not all(re.fullmatch(r"-?[0-9]+", field) for field in fields[1:]):
+        raise PatternError("size values must be integers", lineno)
     try:
         width = int(fields[1])
         height = int(fields[2])

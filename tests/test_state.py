@@ -207,6 +207,39 @@ class TestParse:
         with pytest.raises(PatternError, match="version"):
             parse_pattern(f"version {version}\nsize 1 1\nboundary fixed\ncells\n.\n")
 
+    @pytest.mark.parametrize("header,message", [
+        ("size 0_2 2", "size values must be integers"),
+        ("size +2 2", "size values must be integers"),
+        ("size \u0662 2", "size values must be integers"),  # Arabic-Indic two
+        ("size \uff12 2", "size values must be integers"),  # fullwidth two
+        ("size 2 " + "1" * 5000, "size values must be integers"),  # past int()'s digit limit
+        ("size 0 2", "size values must be positive"),
+        ("size 2 -3", "size values must be positive"),
+    ])
+    def test_size_values_are_ascii_integers(self, header, message):
+        text = f"version 1\n{header}\nboundary fixed\ncells\n. .\n. .\n"
+        with pytest.raises(PatternError, match=message) as err:
+            parse_pattern(text)
+        assert err.value.line == 2
+        assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize("version,message", [
+        ("\u0661", "malformed version header"),  # Arabic-Indic one
+        ("+1", "malformed version header"),
+        ("001", None),
+        ("0" * 5000 + "1", None),  # past int()'s digit limit
+        ("0" * 5000 + "2", "unsupported pattern version 2"),
+        ("00", "unsupported pattern version 0"),
+    ])
+    def test_version_is_an_ascii_integer(self, version, message):
+        text = f"version {version}\nsize 1 1\nboundary fixed\ncells\n.\n"
+        assert_parses_like_reference(text)
+        if message is None:
+            assert parse_pattern(text).grid == Grid.dead(1, 1)
+        else:
+            with pytest.raises(PatternError, match=message):
+                parse_pattern(text)
+
     def test_missing_rows(self):
         with pytest.raises(PatternError, match="unexpected end"):
             parse_pattern("version 1\nsize 1 2\nboundary fixed\ncells\n.\n")
@@ -345,6 +378,37 @@ def documents(draw):
     return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n# end\n"]))
 
 
+# What the byte path may meet in place of one single space: each but " " sends the
+# whole document down the token path, the two line breaks split the row, and "."
+# joins two glyphs into one token.
+GLYPH_ROW_SEPARATORS = [" ", "  ", "\t", "\u3000", "\x85", "\xa0", "\x1c", "."]
+# What may stand in place of one glyph; None drops the row's last token.
+GLYPH_ROW_BREAKERS = ["x", "\u2192", "0.5@10", "2@0", None]
+
+
+@st.composite
+def glyph_row_documents(draw):
+    """Glyph rows one space apart, sometimes with one other separator or one bad token."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    grid = draw(st.lists(st.lists(st.sampled_from(list(state._GLYPH_CELLS)),
+                                  min_size=width, max_size=width),
+                         min_size=height, max_size=height))
+    # gaps[y][i] precedes token i of row y; gaps[y][width] follows the last one
+    gaps = [[""] + [" "] * (width - 1) + [""] for _ in range(height)]
+    if draw(st.booleans()):
+        y, i = draw(st.integers(0, height - 1)), draw(st.integers(0, width))
+        gaps[y][i] = draw(st.sampled_from(GLYPH_ROW_SEPARATORS))  # at 0 or width: lead, trail
+    if draw(st.booleans()):
+        y, x = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        token = draw(st.sampled_from(GLYPH_ROW_BREAKERS))
+        if token is None:
+            del grid[y][-1], gaps[y][-2]
+        else:
+            grid[y][x] = token
+    rows = ["".join(map("".join, zip(gap, row + [""]))) for gap, row in zip(gaps, grid)]
+    return header(width, height) + "\n".join(rows) + "\n"
+
+
 def parse_outcome(parse, text):
     """Grid bits and metadata, or the error's type, message, line and column."""
     try:
@@ -370,6 +434,16 @@ class TestMatchesReference:
     @given(text=documents())
     def test_random_documents(self, text):
         assert_parses_like_reference(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=glyph_row_documents())
+    def test_glyph_row_documents(self, text):
+        assert_parses_like_reference(text)
+
+    def test_down_glyph_keeps_its_signed_zero(self):
+        a = parse_pattern(header(2, 1) + "v .\n").grid.a
+        assert a[0, 0].tobytes() == np.complex128(complex(-0.0, -1.0)).tobytes()
+        assert math.copysign(1.0, a[0, 0].real) == -1.0
 
     @pytest.mark.parametrize("token", EDGE_TOKENS + BAD_TOKENS)
     def test_single_tokens(self, token):
@@ -463,3 +537,32 @@ class TestBatchDecode:
         # token, so a token only one of them refuses would slip through or crash
         refused = state._decode_phasors(["0.6@90", token, "1@0"]) is None
         assert refused == (state._token_error(token) is not None) == (token in BAD_TOKENS)
+
+
+class TestGlyphBlock:
+    """Rows of glyphs one space apart are read as bytes, without the token path."""
+
+    def document(self, token=None):
+        # a 256x256 >/. torus shaped like the soup1024 benchmark input
+        rng = np.random.default_rng(7)
+        rows = np.where(rng.random((256, 256)) < 0.35, ">", ".").tolist()
+        if token is not None:
+            rows[200][100] = token
+        return header(256, 256) + "\n".join(map(" ".join, rows)) + "\n"
+
+    def test_glyph_torus_skips_the_token_path(self, monkeypatch):
+        text = self.document()
+        expected = parse_outcome(parse_reference.parse_pattern, text)
+
+        def refuse(*args):
+            raise AssertionError("token path taken")
+
+        monkeypatch.setattr(state, "_decode_cells", refuse)
+        assert parse_outcome(parse_pattern, text) == expected
+
+    def test_one_phasor_token_takes_the_token_path(self, monkeypatch):
+        calls = []
+        decode = state._decode_cells
+        monkeypatch.setattr(state, "_decode_cells", lambda *args: calls.append(1) or decode(*args))
+        assert_parses_like_reference(self.document("0.5@10"))
+        assert calls == [1]
