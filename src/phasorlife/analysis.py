@@ -278,13 +278,13 @@ class _RecurrenceMatcher:
         return None
 
 
-def evolve(g0: Grid, cfg: StepConfig, generations: int) -> Iterator[Grid]:
-    """Generation 0 (g0 itself), then generations 1 .. generations.
+def evolve(g: Grid, cfg: StepConfig, generations: int) -> Iterator[Grid]:
+    """Generation 0 (g itself), then generations 1 .. generations.
 
     Each later grid is one ``step_grid`` of the one before, taken only when
-    the caller asks for it.
+    the caller asks for it. The generator holds only the latest grid, so
+    generation 0 is freed once the caller drops it too.
     """
-    g = g0
     yield g
     for _ in range(generations):
         g = step_grid(g, cfg)

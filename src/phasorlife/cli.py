@@ -130,26 +130,26 @@ def _load(path: str, boundary_override: str | None) -> PatternDocument:
     return doc
 
 
-def _cmd_run(doc: PatternDocument, cfg: StepConfig, args: argparse.Namespace) -> int:
+def _cmd_run(loaded: list[PatternDocument], cfg: StepConfig, args: argparse.Namespace) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     suffix, frame = _FRAMES[args.format]
-    for gen, g in enumerate(evolve(doc.grid, cfg, args.generations)):
+    for gen, g in enumerate(evolve(loaded.pop().grid, cfg, args.generations)):
         (outdir / f"gen_{gen:05d}.{suffix}").write_bytes(frame(g))
     print(f"final total alive probability: {g.total_alive_probability():.17g}")
     return EXIT_OK
 
 
-def _cmd_analyze(doc: PatternDocument, cfg: StepConfig, args: argparse.Namespace) -> int:
-    report = classify(doc.grid, cfg, max_gen=args.generations, tol=args.tol)
+def _cmd_analyze(loaded: list[PatternDocument], cfg: StepConfig, args: argparse.Namespace) -> int:
+    report = classify(loaded.pop().grid, cfg, max_gen=args.generations, tol=args.tol)
     print(json.dumps(report.to_json_dict(), sort_keys=True))
     return EXIT_OK
 
 
-def _cmd_sweep(doc: PatternDocument, cfg: StepConfig, args: argparse.Namespace) -> int:
+def _cmd_sweep(loaded: list[PatternDocument], cfg: StepConfig, args: argparse.Namespace) -> int:
     phases = np.linspace(args.phase_start, args.phase_end, args.steps).tolist()
     result = sweep_phase(
-        doc,
+        loaded.pop(),
         (args.cell[0], args.cell[1]),
         phases,
         cfg,
@@ -165,13 +165,14 @@ def _cmd_sweep(doc: PatternDocument, cfg: StepConfig, args: argparse.Namespace) 
     return EXIT_OK
 
 
-def _cmd_oracle_check(doc: PatternDocument, cfg: StepConfig, args: argparse.Namespace) -> int:
-    g = doc.grid
-    classical = np.all((g.a == 1.0) & (g.b == 0.0) | (g.a == 0.0) & (g.b == 1.0))
+def _cmd_oracle_check(
+    loaded: list[PatternDocument], cfg: StepConfig, args: argparse.Namespace
+) -> int:
+    semi = loaded.pop().grid
+    classical = np.all((semi.a == 1.0) & (semi.b == 0.0) | (semi.a == 0.0) & (semi.b == 1.0))
     if not classical:
         raise PatternError("non-classical token in pattern")
-    semi = g
-    boolean = project(g, 0.5)
+    boolean = project(semi, 0.5)
     for gen in range(1, args.generations + 1):
         semi = step_grid(semi, cfg)
         boolean = conway_step(boolean)
@@ -220,11 +221,13 @@ def main(argv: list[str] | None = None) -> int:
             canonicalize_dead_phase=args.canonicalize_dead_phase,
             dead_threshold=args.dead_threshold,
         )
-        doc = _load(args.pattern, args.boundary)
+        # the command pops the document from this list: a local would keep generation 0
+        # alive while run and oracle-check step past it, three grids where two will do
+        loaded = [_load(args.pattern, args.boundary)]
         # warnings pass the active filters, then print as one line each, without a source location
         with warnings.catch_warnings(record=True) as caught:
             try:
-                return _COMMANDS[args.command](doc, cfg, args)
+                return _COMMANDS[args.command](loaded, cfg, args)
             finally:
                 for text in dict.fromkeys(str(w.message) for w in caught):
                     print(f"warning: {text}", file=sys.stderr)

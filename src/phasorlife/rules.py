@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import threading
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -149,13 +150,14 @@ def step_cell(c: CellState, ns: NeighborSum, cfg: StepConfig = DEFAULT_CONFIG) -
     return out
 
 
-# Cells per row band of the stepping core: a band's temporaries stay in cache.
+# Cells per row band of the stepping core: a band's scratch stays in cache.
 # Every numpy call on a band releases the GIL, and a waiting thread only gets
 # it if it wakes before the holder's next call returns; at half this size, two
 # threads block on the GIL more than twice as often, for under 5% one-thread gain.
 _BAND_CELLS = 1 << 15
-# Bands each thread must have before a step is shared out: each thread's band
-# temporaries take their own few MiB, which only pays off on large grids.
+# Bands each thread must have before a step is shared out: each helper thread
+# builds its own band scratch every step (4.4 MiB at width 1024), which only
+# pays off on large grids.
 _MIN_BANDS_PER_THREAD = 8
 
 
@@ -167,22 +169,55 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _halo_band(coeff: np.ndarray, y0: int, y1: int, torus: bool) -> np.ndarray:
-    """Rows ``y0:y1`` of ``coeff`` with a one-cell border: wrapped on a torus, zero otherwise."""
+class _BandScratch:
+    """One thread's buffers for stepping bands of up to ``rows`` rows of width ``w``.
+
+    Every band op writes into these with ``out=``, so stepping a band
+    allocates nothing; a band of ``n`` rows uses the first ``n`` rows of each.
+    """
+
+    def __init__(self, rows: int, w: int) -> None:
+        self.shape = (rows, w)
+        self.halo = np.empty((rows + 2, w + 2), dtype=np.complex128)
+        self.complex = np.empty((4, rows, w), dtype=np.complex128)  # alpha, unit, raw pair
+        self.real = np.empty((2, rows, w))  # A, then the norm; one free array
+        self.weights = np.empty((5, rows, w))  # ``_weights_array``'s outputs and temporaries
+        self.masks = np.empty((5, rows, w), dtype=bool)
+
+
+# The scratch of each thread's last one-band step, kept until that thread steps
+# a grid of another shape, so a run of small steps builds it once. A step of
+# several bands builds one per thread and drops it with the step: kept, a large
+# grid's scratch would hold megabytes after the step is done.
+_scratch = threading.local()
+
+
+def _thread_scratch(rows: int, w: int) -> _BandScratch:
+    s = getattr(_scratch, "band", None)
+    if s is None or s.shape != (rows, w):
+        s = _scratch.band = _BandScratch(rows, w)
+    return s
+
+
+def _halo_band(coeff: np.ndarray, y0: int, y1: int, torus: bool, halo: np.ndarray) -> np.ndarray:
+    """Rows ``y0:y1`` of ``coeff`` with a one-cell border, wrapped on a torus and zero
+    otherwise, written over the first rows of ``halo``."""
     h, w = coeff.shape
-    padded = np.zeros((y1 - y0 + 2, w + 2), dtype=coeff.dtype)
+    padded = halo[: y1 - y0 + 2]
     padded[1:-1, 1:-1] = coeff[y0:y1]
-    if y0 > 0 or torus:
-        padded[0, 1:-1] = coeff[y0 - 1]
-    if y1 < h or torus:
-        padded[-1, 1:-1] = coeff[y1 % h]
+    padded[0, 1:-1] = coeff[y0 - 1] if y0 > 0 or torus else 0
+    padded[-1, 1:-1] = coeff[y1 % h] if y1 < h or torus else 0
     if torus:
         padded[:, 0] = padded[:, -2]
         padded[:, -1] = padded[:, 1]
+    else:
+        padded[:, 0] = padded[:, -1] = 0
     return padded
 
 
-def _weights_array(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _weights_array(
+    A: np.ndarray, out: np.ndarray | None = None, masks: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``operator_weights`` elementwise, without its range check; NaN gets all-zero weights.
 
     Each weight sums region formulas times 0/1 region masks, with no branch
@@ -191,35 +226,79 @@ def _weights_array(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     regions and is finite everywhere, so a masked-out term is a signed zero.
     A weight is its region's value or +0: the two formulas of ``wB`` or of
     ``wS`` are never negative at the same A, and ``wD`` ends with its mask.
+    ``out`` (five float arrays shaped like A) and ``masks`` (five bool ones)
+    take the weights and every temporary; without them new ones are made.
     """
-    death = (A <= 1.0) | (A >= 4.0)  # NaN fails both, like every comparison
-    r2 = (A > 1.0) & (A <= 2.0)
-    r3 = (A > 2.0) & (A <= 3.0)
-    r4 = (A > 3.0) & (A < 4.0)
-    a = np.fmin(A, 4.0)
-    wB = (a - 2.0) * r3 + SQRT2_PLUS_1 * (4.0 - a) * r4
-    wS = (a - 1.0) * r2 + SQRT2_PLUS_1 * (3.0 - a) * r3
-    wD = SQRT2_PLUS_1 * (2.0 - a) * r2 + (a - 3.0) * r4 + death
+    if out is None or masks is None:
+        out = np.empty((5, *A.shape))
+        masks = np.empty((5, *A.shape), dtype=bool)
+    wB, wS, wD, a, t = out
+    death, r2, r3, r4, m = masks
+    # NaN fails every comparison, so it is in no region
+    np.logical_or(np.less_equal(A, 1.0, out=death), np.greater_equal(A, 4.0, out=m), out=death)
+    np.logical_and(np.greater(A, 1.0, out=r2), np.less_equal(A, 2.0, out=m), out=r2)
+    np.logical_and(np.greater(A, 2.0, out=r3), np.less_equal(A, 3.0, out=m), out=r3)
+    np.logical_and(np.greater(A, 3.0, out=r4), np.less(A, 4.0, out=m), out=r4)
+    np.fmin(A, 4.0, out=a)
+    # wB = (a - 2) r3 + SQRT2_PLUS_1 (4 - a) r4
+    np.multiply(np.subtract(a, 2.0, out=wB), r3, out=wB)
+    np.multiply(np.multiply(SQRT2_PLUS_1, np.subtract(4.0, a, out=t), out=t), r4, out=t)
+    np.add(wB, t, out=wB)
+    # wS = (a - 1) r2 + SQRT2_PLUS_1 (3 - a) r3
+    np.multiply(np.subtract(a, 1.0, out=wS), r2, out=wS)
+    np.multiply(np.multiply(SQRT2_PLUS_1, np.subtract(3.0, a, out=t), out=t), r3, out=t)
+    np.add(wS, t, out=wS)
+    # wD = SQRT2_PLUS_1 (2 - a) r2 + (a - 3) r4 + death
+    np.multiply(np.multiply(SQRT2_PLUS_1, np.subtract(2.0, a, out=wD), out=wD), r2, out=wD)
+    np.add(wD, np.multiply(np.subtract(a, 3.0, out=t), r4, out=t), out=wD)
+    np.add(wD, death, out=wD)
     return wB, wS, wD
 
 
 def _step_band(
-    live: np.ndarray, dead: np.ndarray, alpha: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Next (live, dead) coefficients of a band whose live neighbors sum to ``alpha``.
+    live: np.ndarray,
+    dead: np.ndarray,
+    alpha: np.ndarray,
+    s: _BandScratch,
+    new_live: np.ndarray,
+    new_dead: np.ndarray,
+) -> None:
+    """Write the next (live, dead) coefficients of a band whose live neighbors sum to ``alpha``.
 
-    Mix, then renormalize; total cancellation gives live 0, dead 1.
+    Mix, then renormalize; total cancellation gives live 0, dead 1. Every
+    temporary is one of ``s``'s buffers, ``alpha`` (itself one) included.
     """
-    A = np.abs(alpha)
-    big = A >= PHASE_EPS
-    unit = np.where(big, alpha / np.where(big, A, 1.0), 1.0 + 0j)
-    wB, wS, wD = _weights_array(A)
-    raw_live = wB * (live + np.abs(dead) * unit) + wS * live
-    raw_dead = wS * dead + wD * (np.abs(live) * unit + dead)
-    n = np.sqrt(np.abs(raw_live) ** 2 + np.abs(raw_dead) ** 2)
-    vanished = n < ZERO_NORM
-    safe = np.where(vanished, 1.0, n)
-    return np.where(vanished, 0j, raw_live / safe), np.where(vanished, 1 + 0j, raw_dead / safe)
+    n = len(live)
+    tmp, unit, raw_live, raw_dead = s.complex[:, :n]
+    A, f = s.real[:, :n]
+    mask = s.masks[0, :n]
+    np.abs(alpha, out=A)
+    # unit = alpha / A where A >= PHASE_EPS, else 1
+    np.greater_equal(A, PHASE_EPS, out=mask)
+    f.fill(1.0)
+    np.copyto(f, A, where=mask)
+    np.divide(alpha, f, out=unit)
+    np.copyto(unit, 1.0, where=np.logical_not(mask, out=mask))
+    wB, wS, wD = _weights_array(A, s.weights[:, :n], s.masks[:, :n])
+    # raw_live = wB (live + |dead| unit) + wS live
+    np.multiply(np.abs(dead, out=f), unit, out=raw_live)
+    np.multiply(wB, np.add(live, raw_live, out=raw_live), out=raw_live)
+    np.add(raw_live, np.multiply(wS, live, out=tmp), out=raw_live)
+    # raw_dead = wS dead + wD (|live| unit + dead)
+    np.multiply(wS, dead, out=raw_dead)
+    np.add(np.multiply(np.abs(live, out=f), unit, out=tmp), dead, out=tmp)
+    np.add(raw_dead, np.multiply(wD, tmp, out=tmp), out=raw_dead)
+    # norm = sqrt(|raw_live|^2 + |raw_dead|^2), read as 1 where it vanishes
+    norm = A
+    np.square(np.abs(raw_live, out=norm), out=norm)
+    np.add(norm, np.square(np.abs(raw_dead, out=f), out=f), out=norm)
+    np.sqrt(norm, out=norm)
+    vanished = np.less(norm, ZERO_NORM, out=mask)
+    np.copyto(norm, 1.0, where=vanished)
+    np.divide(raw_live, norm, out=new_live)
+    np.copyto(new_live, 0.0, where=vanished)
+    np.divide(raw_dead, norm, out=new_dead)
+    np.copyto(new_dead, 1.0, where=vanished)
 
 
 def _step_arrays(
@@ -228,29 +307,34 @@ def _step_arrays(
     """One synchronous step of the component pair, alpha summed over ``live``.
 
     The grid is cut into row bands of at most ``_BAND_CELLS`` cells, so no
-    temporary outgrows the cache, and the cut depends on the width alone.
-    Each band pads its own rows with a halo. The calling thread and ``k - 1``
-    pool threads take the bands one at a time from a shared queue, with
-    ``k`` the smaller of the CPUs this process may run on and one thread per
-    ``_MIN_BANDS_PER_THREAD`` bands. Every cell reads only the previous
-    generation, so the sharing never changes a byte.
+    band buffer outgrows the cache, and the cut depends on the width alone.
+    The calling thread and ``k - 1`` pool threads take the bands one at a
+    time from a shared queue, with ``k`` the smaller of the CPUs this process
+    may run on and one thread per ``_MIN_BANDS_PER_THREAD`` bands. Each
+    thread pads a band's rows with a halo and steps it in its own
+    ``_BandScratch``, writing straight into the outputs; the calling thread
+    keeps a one-band step's scratch for its next step. Every cell reads only
+    the previous generation, so the sharing never changes a byte.
     """
     h, w = live.shape
     torus = boundary is Boundary.TORUS
     new_live = np.empty_like(live)
     new_dead = np.empty_like(dead)
-    rows = max(1, _BAND_CELLS // w)
+    rows = min(h, max(1, _BAND_CELLS // w))
     bands = [(y0, min(y0 + rows, h)) for y0 in range(0, h, rows)]
 
     def run(queue: Iterator[tuple[int, int]]) -> None:
+        s = _thread_scratch(rows, w) if len(bands) == 1 else _BandScratch(rows, w)
         for y0, y1 in queue:
-            padded = _halo_band(live, y0, y1, torus)
-            alpha = np.zeros((y1 - y0, w), dtype=live.dtype)
+            n = y1 - y0
+            padded = _halo_band(live, y0, y1, torus, s.halo)
+            alpha = s.complex[0, :n]
+            alpha.fill(0)
             for dx, dy in _OFFSETS:
-                alpha += padded[1 + dy : y1 - y0 + 1 + dy, 1 + dx : 1 + dx + w]
-            nl, nd = _step_band(live[y0:y1], dead[y0:y1], alpha)
-            new_live[y0:y1] = nl
-            new_dead[y0:y1] = np.abs(nd) if cfg.canonicalize_dead_phase else nd
+                alpha += padded[1 + dy : n + 1 + dy, 1 + dx : 1 + dx + w]
+            _step_band(live[y0:y1], dead[y0:y1], alpha, s, new_live[y0:y1], new_dead[y0:y1])
+            if cfg.canonicalize_dead_phase:
+                np.copyto(new_dead[y0:y1], np.abs(new_dead[y0:y1], out=s.real[1, :n]))
 
     k = max(1, min(_cpu_count(), len(bands) // _MIN_BANDS_PER_THREAD))
     # One iterator shared by every thread: each takes the next band when it is

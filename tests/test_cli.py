@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from unittest import mock
 
 import pytest
@@ -276,6 +278,38 @@ class TestOracleCheck:
                    "--generations", "3"])
         assert rc == 3
         assert "divergence at generation 1" in capsys.readouterr().err
+
+
+class TestGridLifetime:
+    """run and oracle-check hold two grids while they step: generation 0 goes once stepped past."""
+
+    @pytest.mark.parametrize("command", [
+        ["oracle-check"], ["run", "--format", "csv", "--output", "{out}"],
+    ], ids=["oracle-check", "run"])
+    def test_generation_zero_is_freed_by_the_second_step(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        parsed, alive = [], []
+
+        def parse(text):
+            doc = parse_pattern(text)
+            parsed.append(weakref.ref(doc.grid.a))
+            return doc
+
+        # plain functions, not mocks: a mock keeps every argument it was called with
+        def step(g, cfg=None):
+            gc.collect()
+            alive.append(parsed[0]() is not None)
+            return real_step(g, cfg)
+
+        real_step = cli.step_grid
+        monkeypatch.setattr(cli, "parse_pattern", parse)
+        monkeypatch.setattr(cli, "step_grid", step)
+        monkeypatch.setattr(analysis, "step_grid", step)
+        argv = [arg.format(out=tmp_path / "frames") for arg in command]
+        assert main([*argv, "--pattern", pattern("glider.sqp"), "--generations", "3"]) == 0
+        capsys.readouterr()
+        # the first step reads generation 0; by the second nothing holds it
+        assert alive == [True, False, False]
 
 
 class TestHelp:

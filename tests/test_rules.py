@@ -4,6 +4,7 @@ import cmath
 import contextlib
 import math
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -322,7 +323,7 @@ class TestStepGrid:
         caller, helper = [], []
         rest_done = threading.Event()
 
-        def band(live, dead, alpha):
+        def band(live, dead, *scratch_and_outputs):
             if threading.current_thread() is threading.main_thread():
                 caller.append(live.shape)
                 if len(caller) == g.height - 1:
@@ -330,7 +331,7 @@ class TestStepGrid:
             else:
                 helper.append(live.shape)
                 assert rest_done.wait(timeout=30)
-            return step_band(live, dead, alpha)
+            step_band(live, dead, *scratch_and_outputs)
 
         with mock.patch.object(rules, "_step_band", band), \
                 mock.patch.object(rules, "_BAND_CELLS", 5), threads_on_every_band():
@@ -427,6 +428,75 @@ class TestStepGrid:
                             assert g.is_normalized()
                             assert np.all(np.isfinite(g.a.real))
                             assert np.all(np.isfinite(g.b.real))
+
+
+def in_new_thread(fn):
+    """``fn()`` on a thread of its own, which starts with no band scratch."""
+    failures = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:  # re-raised on the test's thread
+            failures.append(exc)
+
+    t = threading.Thread(target=target)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    if failures:
+        raise failures[0]
+
+
+class TestBandScratch:
+    """Each thread steps its bands in one fixed scratch, allocating nothing per band."""
+
+    def test_one_step_allocates_its_outputs_and_one_scratch(self):
+        # 2, 8 and 32 bands of 32 rows at width 1024, all on the calling thread
+        extra = []
+        for h in (64, 256, 1024):
+            live = np.random.default_rng(h).random((h, 1024)) < 0.35
+            g = Grid(live.astype(complex), (~live).astype(complex), Boundary.TORUS)
+            tracemalloc.start()
+            try:
+                step_on_cpus(step_grid, 1, g)
+                extra.append(tracemalloc.get_traced_memory()[1] - g.a.nbytes - g.b.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert max(extra) - min(extra) <= 64 << 10
+        assert max(extra) <= 6.60 * (1 << 20)
+
+    def test_the_calling_thread_keeps_a_one_band_scratch(self):
+        built = []
+
+        def steps():
+            g = random_grid(np.random.default_rng(18), 40, 40, Boundary.TORUS)
+            three_bands = random_grid(np.random.default_rng(19), 300, 300, Boundary.TORUS)
+            with mock.patch.object(rules, "_BandScratch", wraps=rules._BandScratch) as scratch:
+                for _ in range(5):
+                    g = step_grid(g)
+                built.append(scratch.call_count)
+                # a step of several bands builds its own and leaves the kept one
+                step_grid(three_bands)
+                step_grid(g)
+                built.append(scratch.call_count)
+                step_grid(random_grid(np.random.default_rng(20), 41, 40, Boundary.TORUS))
+                built.append(scratch.call_count)
+
+        in_new_thread(steps)
+        # one scratch for five 40x40 steps; another band shape needs another
+        assert built == [1, 2, 3]
+
+    def test_a_torus_step_leaves_nothing_for_a_fixed_one(self):
+        # the same band shape reuses the scratch, halo border columns included
+        g = random_grid(np.random.default_rng(21), 6, 5, Boundary.TORUS)
+        fixed = g.with_boundary(Boundary.FIXED_DEAD)
+        got = []
+        in_new_thread(lambda: got.extend([step_grid(g), step_grid(fixed), step_grid(g)]))
+        for stepped, source in zip(got, (g, fixed, g)):
+            expected = reference.ref_step_grid(source)
+            assert stepped.a.tobytes() == expected.a.tobytes()
+            assert stepped.b.tobytes() == expected.b.tobytes()
 
 
 class TestDuality:
