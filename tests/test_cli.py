@@ -18,6 +18,7 @@ from phasorlife import (
     FateReport, analysis, cli, parse_pattern, render_ascii, render_csv, render_ppm,
 )
 from phasorlife.cli import main
+from cli_transcript import TRANSCRIPT_PATH, invocations, replay
 from conftest import PATTERNS_DIR
 
 
@@ -379,3 +380,17 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "phasorlife", *argv], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
+
+
+TRANSCRIPT = json.loads(TRANSCRIPT_PATH.read_text(encoding="utf-8"))
+
+
+class TestTranscript:
+    """Every command on every shipped pattern gives the recorded exit code, output and frames."""
+
+    def test_covers_every_invocation(self):
+        assert sorted(TRANSCRIPT) == sorted(" ".join(argv) for argv in invocations())
+
+    @pytest.mark.parametrize("key", sorted(TRANSCRIPT))
+    def test_replays(self, key):
+        assert replay(key.split(" ")) == TRANSCRIPT[key]
