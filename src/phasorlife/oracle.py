@@ -1,8 +1,9 @@
 """Self-contained classical automaton used as ground truth for the binary limit.
 
 Deliberately independent of the rules module: boolean cells, integer neighbor
-counts, and the explicit birth-on-3 / survive-on-2-or-3 table. The lift and
-project helpers move patterns between the boolean world and the engine's.
+counts from a box sum over a ``uint8`` view of the cells, and the explicit
+birth-on-3 / survive-on-2-or-3 table. The lift and project helpers move
+patterns between the boolean world and the engine's.
 """
 
 from __future__ import annotations
@@ -79,19 +80,24 @@ class BoolGrid:
 
 
 def _neighbor_counts(g: BoolGrid) -> np.ndarray:
-    ones = g.alive.astype(np.int16)
-    if g.boundary is Boundary.TORUS:
-        padded = np.pad(ones, 1, mode="wrap")
-    else:
-        padded = np.pad(ones, 1, mode="constant")
-    h, w = ones.shape
-    total = np.zeros((h, w), dtype=np.int16)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            total += padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-    return total
+    """Live cells among each cell's eight neighbors, as ``uint8``.
+
+    A separable 3x3 box sum over the cells read as 0/1 bytes, wrapped or
+    zero-padded by the boundary: each cell's row of three, then three such
+    sums down a column, minus the cell itself. The counts are exact
+    integers, so the order of the sum does not matter. On a torus narrower
+    or shorter than three cells a neighbor can be reached through the wrap
+    more than once, the cell itself included, and it counts each time, as
+    it does for the eight neighbor offsets.
+    """
+    ones = g.alive.view(np.uint8)
+    padded = np.pad(ones, 1, mode="wrap" if g.boundary is Boundary.TORUS else "constant")
+    cols = padded[:, :-2] + padded[:, 1:-1]
+    cols += padded[:, 2:]
+    counts = cols[:-2] + cols[1:-1]
+    counts += cols[2:]
+    counts -= ones
+    return counts
 
 
 def conway_step(g: BoolGrid) -> BoolGrid:

@@ -180,7 +180,7 @@ class _BandScratch:
         self.shape = (rows, w)
         self.halo = np.empty((rows + 2, w + 2), dtype=np.complex128)
         self.complex = np.empty((4, rows, w), dtype=np.complex128)  # alpha, unit, raw pair
-        self.real = np.empty((2, rows, w))  # A, then the norm; one free array
+        self.real = np.empty((2, rows, w))  # A and a free array, then the raw pair's |.|^2
         self.weights = np.empty((5, rows, w))  # ``_weights_array``'s outputs and temporaries
         self.masks = np.empty((5, rows, w), dtype=bool)
 
@@ -222,8 +222,10 @@ def _weights_array(
 
     Each weight sums region formulas times 0/1 region masks, with no branch
     per cell (``np.where`` on a random mask is several times slower). The
-    formulas are evaluated at ``fmin(A, 4)``, which equals A inside their
-    regions and is finite everywhere, so a masked-out term is a signed zero.
+    masks take nine bool passes: five compares on A, and ``np.greater`` of
+    two compares for each blend interval. The formulas are evaluated at
+    ``fmin(A, 4)``, which equals A inside their regions and is finite
+    everywhere, so a masked-out term is a signed zero.
     A weight is its region's value or +0: the two formulas of ``wB`` or of
     ``wS`` are never negative at the same A, and ``wD`` ends with its mask.
     ``out`` (five float arrays shaped like A) and ``masks`` (five bool ones)
@@ -233,12 +235,13 @@ def _weights_array(
         out = np.empty((5, *A.shape))
         masks = np.empty((5, *A.shape), dtype=bool)
     wB, wS, wD, a, t = out
-    death, r2, r3, r4, m = masks
-    # NaN fails every comparison, so it is in no region
-    np.logical_or(np.less_equal(A, 1.0, out=death), np.greater_equal(A, 4.0, out=m), out=death)
-    np.logical_and(np.greater(A, 1.0, out=r2), np.less_equal(A, 2.0, out=m), out=r2)
-    np.logical_and(np.greater(A, 2.0, out=r3), np.less_equal(A, 3.0, out=m), out=r3)
-    np.logical_and(np.greater(A, 3.0, out=r4), np.less(A, 4.0, out=m), out=r4)
+    death, r2, r3, r4, over4 = masks
+    # r2 = (A > 1) > (A > 2) is A in (1, 2], and so on; NaN fails every comparison,
+    # so it is in no region
+    np.greater(np.greater(A, 1.0, out=r2), np.greater(A, 2.0, out=r3), out=r2)
+    np.greater(r3, np.greater(A, 3.0, out=r4), out=r3)
+    np.greater(r4, np.greater_equal(A, 4.0, out=over4), out=r4)
+    np.logical_or(np.less_equal(A, 1.0, out=death), over4, out=death)
     np.fmin(A, 4.0, out=a)
     # wB = (a - 2) r3 + SQRT2_PLUS_1 (4 - a) r4
     np.multiply(np.subtract(a, 2.0, out=wB), r3, out=wB)
@@ -267,18 +270,20 @@ def _step_band(
 
     Mix, then renormalize; total cancellation gives live 0, dead 1. Every
     temporary is one of ``s``'s buffers, ``alpha`` (itself one) included.
+    No pass is spent on a fix-up that changes nothing: the unit phasor's
+    divisor is ``fmax(A, PHASE_EPS)``, the norm is taken over the stacked raw
+    pair at once, and the vanished-norm fix-ups run only in a band that has
+    a vanished norm.
     """
     n = len(live)
     tmp, unit, raw_live, raw_dead = s.complex[:, :n]
     A, f = s.real[:, :n]
     mask = s.masks[0, :n]
     np.abs(alpha, out=A)
-    # unit = alpha / A where A >= PHASE_EPS, else 1
-    np.greater_equal(A, PHASE_EPS, out=mask)
-    f.fill(1.0)
-    np.copyto(f, A, where=mask)
-    np.divide(alpha, f, out=unit)
-    np.copyto(unit, 1.0, where=np.logical_not(mask, out=mask))
+    # unit = alpha / A where A >= PHASE_EPS, else 1: the divisor differs from A
+    # exactly where A < PHASE_EPS or A is NaN
+    np.divide(alpha, np.fmax(A, PHASE_EPS, out=f), out=unit)
+    unit[np.not_equal(f, A, out=mask)] = 1.0
     wB, wS, wD = _weights_array(A, s.weights[:, :n], s.masks[:, :n])
     # raw_live = wB (live + |dead| unit) + wS live
     np.multiply(np.abs(dead, out=f), unit, out=raw_live)
@@ -288,17 +293,21 @@ def _step_band(
     np.multiply(wS, dead, out=raw_dead)
     np.add(np.multiply(np.abs(live, out=f), unit, out=tmp), dead, out=tmp)
     np.add(raw_dead, np.multiply(wD, tmp, out=tmp), out=raw_dead)
-    # norm = sqrt(|raw_live|^2 + |raw_dead|^2), read as 1 where it vanishes
-    norm = A
-    np.square(np.abs(raw_live, out=norm), out=norm)
-    np.add(norm, np.square(np.abs(raw_dead, out=f), out=f), out=norm)
+    # norm = sqrt(|raw_live|^2 + |raw_dead|^2), over the raw pair at once
+    pair = s.real[:, :n]
+    np.square(np.abs(s.complex[2:, :n], out=pair), out=pair)
+    norm = np.add(pair[0], pair[1], out=A)
     np.sqrt(norm, out=norm)
+    # a vanished norm is read as 1 and its cell set to live 0, dead 1
     vanished = np.less(norm, ZERO_NORM, out=mask)
-    np.copyto(norm, 1.0, where=vanished)
+    collapsed = vanished.any()
+    if collapsed:
+        np.copyto(norm, 1.0, where=vanished)
     np.divide(raw_live, norm, out=new_live)
-    np.copyto(new_live, 0.0, where=vanished)
     np.divide(raw_dead, norm, out=new_dead)
-    np.copyto(new_dead, 1.0, where=vanished)
+    if collapsed:
+        np.copyto(new_live, 0.0, where=vanished)
+        np.copyto(new_dead, 1.0, where=vanished)
 
 
 def _step_arrays(
@@ -329,9 +338,11 @@ def _step_arrays(
             n = y1 - y0
             padded = _halo_band(live, y0, y1, torus, s.halo)
             alpha = s.complex[0, :n]
-            alpha.fill(0)
-            for dx, dy in _OFFSETS:
-                alpha += padded[1 + dy : n + 1 + dy, 1 + dx : 1 + dx + w]
+            views = (padded[1 + dy : n + 1 + dy, 1 + dx : 1 + dx + w] for dx, dy in _OFFSETS)
+            # 0 + x as the scalar sum has it: a -0 part of the first neighbor reads +0
+            np.add(next(views), 0.0, out=alpha)
+            for view in views:
+                alpha += view
             _step_band(live[y0:y1], dead[y0:y1], alpha, s, new_live[y0:y1], new_dead[y0:y1])
             if cfg.canonicalize_dead_phase:
                 np.copyto(new_dead[y0:y1], np.abs(new_dead[y0:y1], out=s.real[1, :n]))

@@ -60,7 +60,8 @@ def invocations() -> list[list[str]]:
             out.append(["sweep", *shared, "--cell", str(x), str(y), "--steps", str(SWEEP_STEPS)])
             out.append(["oracle-check", *shared])
             for fmt in _FRAMES:
-                out.append(["run", *shared, "--generations", str(RUN_GENERATIONS), "--format", fmt])
+                out.append(["run", *shared, "--generations", str(RUN_GENERATIONS),
+                            "--format", fmt])
     return out
 
 

@@ -18,6 +18,8 @@ from phasorlife import (
     project,
     step_grid,
 )
+from phasorlife.oracle import _neighbor_counts
+import oracle_reference as reference
 
 
 def bool_grid(width, height, live, boundary=Boundary.FIXED_DEAD):
@@ -107,3 +109,50 @@ class TestClassicalEquivalence:
             g = step_grid(g)
             assert np.all((g.a == 0) | (g.a == 1))
             assert np.all((g.b == 0) | (g.b == 1))
+
+
+class TestMatchesReference:
+    """The box sum gives the counts and cells of the eight-view sum in oracle_reference.py."""
+
+    SHAPES = [(1, 1), (1, 7), (7, 1), (2, 2), (1, 2), (3, 1), (3, 3), (17, 23), (64, 48)]
+
+    @staticmethod
+    def assert_same(g):
+        assert np.array_equal(_neighbor_counts(g), reference._neighbor_counts(g))
+        assert conway_step(g) == reference.ref_conway_step(g)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("density", [0.1, 0.35, 0.7])
+    def test_random_soups(self, density, boundary):
+        rng = np.random.default_rng(int(density * 100))
+        for height, width in self.SHAPES:
+            for _ in range(4):
+                g = BoolGrid(rng.random((height, width)) < density, boundary)
+                for _ in range(3):
+                    self.assert_same(g)
+                    g = reference.ref_conway_step(g)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_large_soup(self, boundary):
+        rng = np.random.default_rng(1024)
+        g = BoolGrid(rng.random((1024, 1024)) < 0.35, boundary)
+        self.assert_same(g)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("height,width", SHAPES[:6])
+    def test_every_small_grid(self, boundary, height, width):
+        # every grid of up to seven cells, the torus ones wrapping onto themselves
+        for bits in itertools.product((False, True), repeat=height * width):
+            self.assert_same(BoolGrid(np.array(bits).reshape(height, width), boundary))
+
+    def test_torus_neighbors_repeat_through_the_wrap(self):
+        one = BoolGrid([[True]], Boundary.TORUS)
+        assert _neighbor_counts(one).tolist() == [[8]]
+        assert _neighbor_counts(BoolGrid([[True]])).tolist() == [[0]]
+        assert not conway_step(one).alive.any()
+        # a one-row torus: each cell is its own neighbor above and below
+        row = BoolGrid([[True, False, False]], Boundary.TORUS)
+        assert _neighbor_counts(row).tolist() == [[2, 3, 3]]
+        # a 2x2 torus: the diagonal cell is four neighbors, the other two are two each
+        square = BoolGrid([[True, False], [False, False]], Boundary.TORUS)
+        assert _neighbor_counts(square).tolist() == [[0, 2], [2, 4]]

@@ -567,6 +567,10 @@ ULP_BELOW_ONE = math.nextafter(1.0, 0.0)
 ULP_ABOVE_ONE = math.nextafter(1.0, 2.0)
 # eight in-phase neighbors at -358.8923 degrees sum to A = 8.000000000000002
 PAST_EIGHT = cmath.rect(1.0, math.radians(-358.8923))
+# the two ulps around each threshold of the step: the phase cut and the region edges
+THRESHOLD_SUMS = [NAN, rules.PHASE_EPS] + [
+    math.nextafter(x, d) for x in (rules.PHASE_EPS, 1.0, 2.0, 3.0, 4.0) for d in (0.0, 9.0)
+]
 SPECIAL_CELLS = [
     (1 + 0j, 0j),
     (0j, 1 + 0j),
@@ -738,10 +742,68 @@ class TestMatchesReference:
             assert got.b.tobytes() == expected.b.tobytes()
             g = expected
 
+    @staticmethod
+    def probe_grid(boundary):
+        """Three rows: each probe column's middle cell has one live neighbor above it, so
+        its sum is that neighbor's coefficient exactly, at phase 0, pi/2, pi or -pi/2."""
+        sums = [A * phase for A in THRESHOLD_SUMS for phase in (1, 1j, -1, -1j)]
+        cells = [(0.6 + 0.8j, 0.0), (0.0, 1.0), (1.0, 0.0), (0.6, -0.8j)]
+        a = np.zeros((3, 3 * len(sums)), dtype=complex)
+        b = np.ones_like(a)
+        for i, alpha in enumerate(sums):
+            a[0, 3 * i + 1] = alpha
+            a[1, 3 * i + 1], b[1, 3 * i + 1] = cells[i % len(cells)]
+        return Grid._adopt(a, b, boundary)
+
+    # a NaN sum makes numpy warn, in the worker threads too
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("band_cells", [1, 40, rules._BAND_CELLS])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_sums_at_the_thresholds(self, boundary, band_cells):
+        g = self.probe_grid(boundary)
+        ns = [neighbor_sum(g, x, 1).A for x in range(1, g.width, 3)]
+        expected = [A for A in THRESHOLD_SUMS for _ in range(4)]
+        assert ns[4:] == expected[4:] and all(math.isnan(A) for A in ns[:4])
+        with mock.patch.object(rules, "_BAND_CELLS", band_cells):
+            self.assert_same(g)
+            self.assert_same(swap_components(g))  # the mirror stepper sums the other component
+
+    @staticmethod
+    def collapse_grid(boundary, cancel):
+        """Three bands of two rows: none, only the last cell, then every cell collapses."""
+        g = random_grid(np.random.default_rng(34), 5, 6, boundary)
+        a, b = g.a.copy(), g.b.copy()
+        a[4:], b[4:] = 0.0, 0.0  # no coefficient left: the mix is 0 whatever the weights
+        if cancel:
+            # dead neighbors (the empty last band below, wrapped ones included) give the last
+            # cell of the middle band alpha 0 and unit 1, so death folds its live part onto
+            # its dead part and they cancel
+            for x in (0, 3, 4):
+                a[2:4, x], b[2:4, x] = 0.0, 1.0
+            a[3, 4], b[3, 4] = 1 / SQ2, -1 / SQ2
+        else:
+            a[3, 4], b[3, 4] = 0.0, 0.0
+        return Grid._adopt(a, b, boundary)
+
+    @pytest.mark.parametrize("cancel", [False, True])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_bands_with_and_without_collapses(self, boundary, cancel):
+        g = self.collapse_grid(boundary, cancel)
+        raw_live, raw_dead = reference._mixed_raw(g.a, g.b, reference._alpha_array(g.a, boundary))
+        vanished = np.sqrt(np.abs(raw_live) ** 2 + np.abs(raw_dead) ** 2) < rules.ZERO_NORM
+        assert not vanished[:2].any()
+        assert vanished[2:4].ravel().tolist() == [False] * 9 + [True]
+        assert vanished[4:].all()
+        # two-row bands of width 5 put each case in a band of its own
+        with mock.patch.object(rules, "_BAND_CELLS", 10):
+            self.assert_same(g)
+            self.assert_same(swap_components(g))
+
     def test_weights_match_reference(self):
         edges = [0.0, 5e-324, 1e-300, rules.PHASE_EPS, 1.0, 2.0, 3.0, 3 + 1 / SQ2, 4.0, 8.0,
                  8.0 + rules.A_ROUNDING_SLACK, 9.0, INF, NAN]
         edges += [math.nextafter(x, d) for x in (1.0, 2.0, 3.0, 4.0, 8.0) for d in (0.0, 9.0)]
+        edges += [math.nextafter(rules.PHASE_EPS, d) for d in (0.0, 1.0)]
         rng = np.random.default_rng(33)
         A = np.concatenate([edges, rng.uniform(0.0, 8.0, 2000), rng.integers(0, 9, 200)])
         got = rules._weights_array(A)
@@ -750,3 +812,4 @@ class TestMatchesReference:
         # a NaN sum gets no operator at all, an infinite one the overcrowding death
         assert [float(w[edges.index(NAN)]) for w in got] == [0.0, 0.0, 0.0]
         assert [float(w[edges.index(INF)]) for w in got] == [0.0, 0.0, 1.0]
+
