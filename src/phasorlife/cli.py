@@ -72,12 +72,15 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="strip the dead coefficient's phase after each step",
     )
-    p.add_argument(
-        "--dead-threshold",
-        type=float,
-        default=1e-6,
-        help="alive probability below which a cell counts as dead",
-    )
+
+
+def _add_classification(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--generations", type=int, default=200,
+                   help="maximum generations per classification")
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="recurrence tolerance on alive-probability maps")
+    p.add_argument("--dead-threshold", type=float, default=StepConfig.dead_threshold,
+                   help="alive probability below which a cell counts as dead")
 
 
 def build_parser() -> _Parser:
@@ -98,23 +101,17 @@ def build_parser() -> _Parser:
     analyze = sub.add_parser("analyze", formatter_class=fmt,
                              help="classify a pattern's long-run fate as JSON")
     _add_shared(analyze)
-    analyze.add_argument("--generations", type=int, default=200,
-                         help="maximum generations to examine")
-    analyze.add_argument("--tol", type=float, default=1e-6,
-                         help="recurrence tolerance on alive-probability maps")
+    _add_classification(analyze)
 
     sweep = sub.add_parser("sweep", formatter_class=fmt,
                            help="classify across a range of phases for one cell; CSV output")
     _add_shared(sweep)
+    _add_classification(sweep)
     sweep.add_argument("--cell", type=int, nargs=2, metavar=("X", "Y"), required=True,
                        help="coordinates of the cell whose phase is swept")
     sweep.add_argument("--phase-start", type=float, default=0.0, help="first phase (radians)")
     sweep.add_argument("--phase-end", type=float, default=math.pi, help="last phase (radians)")
     sweep.add_argument("--steps", type=int, default=64, help="number of sweep points, inclusive")
-    sweep.add_argument("--generations", type=int, default=200,
-                       help="maximum generations per classification")
-    sweep.add_argument("--tol", type=float, default=1e-6,
-                       help="recurrence tolerance on alive-probability maps")
 
     oc = sub.add_parser("oracle-check", formatter_class=fmt,
                         help="compare the engine against the classical automaton")
@@ -202,8 +199,11 @@ _COMMANDS = {
 def _validate(args: argparse.Namespace) -> None:
     if args.generations < 0:
         raise _UsageError("generations must be >= 0")
-    if args.command == "analyze" and args.generations < 1:
-        raise _UsageError("analyze needs at least one generation")
+    if args.command in ("analyze", "sweep"):
+        if args.generations < 1:
+            raise _UsageError(f"{args.command} needs at least one generation")
+        if not (args.tol > 0.0 and math.isfinite(args.tol)):
+            raise _UsageError("tol must be positive and finite")
     if args.command == "sweep":
         if args.steps < 1:
             raise _UsageError("steps must be >= 1")
@@ -217,10 +217,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _validate(args)  # before the pattern is read: usage errors win over a missing file
-        cfg = StepConfig(
-            canonicalize_dead_phase=args.canonicalize_dead_phase,
-            dead_threshold=args.dead_threshold,
-        )
+        # a StepConfig field that a command has no flag for keeps its default
+        fields = {f.name for f in dataclasses.fields(StepConfig)}
+        cfg = StepConfig(**{name: value for name, value in vars(args).items() if name in fields})
         # the command pops the document from this list: a local would keep generation 0
         # alive while run and oracle-check step past it, three grids where two will do
         loaded = [_load(args.pattern, args.boundary)]

@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 import os
-import threading
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -155,9 +154,9 @@ def step_cell(c: CellState, ns: NeighborSum, cfg: StepConfig = DEFAULT_CONFIG) -
 # it if it wakes before the holder's next call returns; at half this size, two
 # threads block on the GIL more than twice as often, for under 5% one-thread gain.
 _BAND_CELLS = 1 << 15
-# Bands each thread must have before a step is shared out: each helper thread
-# builds its own band scratch every step (4.4 MiB at width 1024), which only
-# pays off on large grids.
+# Bands each thread must have before a step is shared out: a helper thread is
+# started and builds its own band scratch (4.4 MiB at width 1024) every step,
+# which only pays off on large grids.
 _MIN_BANDS_PER_THREAD = 8
 
 
@@ -170,33 +169,18 @@ def _cpu_count() -> int:
 
 
 class _BandScratch:
-    """One thread's buffers for stepping bands of up to ``rows`` rows of width ``w``.
+    """One thread's buffers for one step's bands of up to ``rows`` rows of width ``w``.
 
     Every band op writes into these with ``out=``, so stepping a band
     allocates nothing; a band of ``n`` rows uses the first ``n`` rows of each.
     """
 
     def __init__(self, rows: int, w: int) -> None:
-        self.shape = (rows, w)
         self.halo = np.empty((rows + 2, w + 2), dtype=np.complex128)
         self.complex = np.empty((4, rows, w), dtype=np.complex128)  # alpha, unit, raw pair
         self.real = np.empty((2, rows, w))  # A and a free array, then the raw pair's |.|^2
         self.weights = np.empty((5, rows, w))  # ``_weights_array``'s outputs and temporaries
         self.masks = np.empty((5, rows, w), dtype=bool)
-
-
-# The scratch of each thread's last one-band step, kept until that thread steps
-# a grid of another shape, so a run of small steps builds it once. A step of
-# several bands builds one per thread and drops it with the step: kept, a large
-# grid's scratch would hold megabytes after the step is done.
-_scratch = threading.local()
-
-
-def _thread_scratch(rows: int, w: int) -> _BandScratch:
-    s = getattr(_scratch, "band", None)
-    if s is None or s.shape != (rows, w):
-        s = _scratch.band = _BandScratch(rows, w)
-    return s
 
 
 def _halo_band(coeff: np.ndarray, y0: int, y1: int, torus: bool, halo: np.ndarray) -> np.ndarray:
@@ -216,7 +200,7 @@ def _halo_band(coeff: np.ndarray, y0: int, y1: int, torus: bool, halo: np.ndarra
 
 
 def _weights_array(
-    A: np.ndarray, out: np.ndarray | None = None, masks: np.ndarray | None = None
+    A: np.ndarray, out: np.ndarray, masks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``operator_weights`` elementwise, without its range check; NaN gets all-zero weights.
 
@@ -229,11 +213,8 @@ def _weights_array(
     A weight is its region's value or +0: the two formulas of ``wB`` or of
     ``wS`` are never negative at the same A, and ``wD`` ends with its mask.
     ``out`` (five float arrays shaped like A) and ``masks`` (five bool ones)
-    take the weights and every temporary; without them new ones are made.
+    take the weights and every temporary.
     """
-    if out is None or masks is None:
-        out = np.empty((5, *A.shape))
-        masks = np.empty((5, *A.shape), dtype=bool)
     wB, wS, wD, a, t = out
     death, r2, r3, r4, over4 = masks
     # r2 = (A > 1) > (A > 2) is A in (1, 2], and so on; NaN fails every comparison,
@@ -321,9 +302,9 @@ def _step_arrays(
     time from a shared queue, with ``k`` the smaller of the CPUs this process
     may run on and one thread per ``_MIN_BANDS_PER_THREAD`` bands. Each
     thread pads a band's rows with a halo and steps it in its own
-    ``_BandScratch``, writing straight into the outputs; the calling thread
-    keeps a one-band step's scratch for its next step. Every cell reads only
-    the previous generation, so the sharing never changes a byte.
+    ``_BandScratch``, built for this step and dropped with it, writing
+    straight into the outputs. Every cell reads only the previous
+    generation, so the sharing never changes a byte.
     """
     h, w = live.shape
     torus = boundary is Boundary.TORUS
@@ -333,7 +314,7 @@ def _step_arrays(
     bands = [(y0, min(y0 + rows, h)) for y0 in range(0, h, rows)]
 
     def run(queue: Iterator[tuple[int, int]]) -> None:
-        s = _thread_scratch(rows, w) if len(bands) == 1 else _BandScratch(rows, w)
+        s = _BandScratch(rows, w)
         for y0, y1 in queue:
             n = y1 - y0
             padded = _halo_band(live, y0, y1, torus, s.halo)

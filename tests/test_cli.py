@@ -131,7 +131,7 @@ class TestRun:
         assert rc == 1
 
     def test_bad_dead_threshold_is_usage_error(self):
-        rc = main(["run", "--pattern", pattern("block.sqp"), "--dead-threshold", "0.9"])
+        rc = main(["analyze", "--pattern", pattern("block.sqp"), "--dead-threshold", "0.9"])
         assert rc == 1
 
 
@@ -323,22 +323,34 @@ class TestHelp:
 
 
 class TestExitPaths:
-    # usage is checked before the pattern is read, so the last two exit 1 on a missing file
+    # usage is checked before the pattern is read, so each row with a missing file exits 1
     @pytest.mark.parametrize("argv,code", [
         (["run", "--pattern", "{block}", "--output", "{taken}"], 2),
         (["sweep", "--pattern", "{block}", "--cell", "9", "0"], 1),
         (["analyze", "--pattern", "{block}", "--generations", "0"], 1),
         (["sweep", "--pattern", "{missing}", "--cell", "3", "3", "--steps", "0"], 1),
-        (["run", "--pattern", "{missing}", "--dead-threshold", "0.9"], 1),
+        (["analyze", "--pattern", "{missing}", "--dead-threshold", "0.9"], 1),
+        (["analyze", "--pattern", "{missing}", "--tol", "0"], 1),
+        (["sweep", "--pattern", "{missing}", "--cell", "3", "3", "--tol", "nan"], 1),
+        (["sweep", "--pattern", "{missing}", "--cell", "3", "3", "--generations", "0"], 1),
+        (["sweep", "--pattern", "{block}", "--cell", "3", "3", "--generations", "0"], 1),
+        (["run", "--pattern", "{block}", "--output", "{out}", "--dead-threshold", "0.1"], 1),
+        (["oracle-check", "--pattern", "{block}", "--dead-threshold", "0.1"], 1),
     ], ids=["output-is-a-file", "cell-off-grid", "analyze-zero-generations",
-            "sweep-zero-steps-before-missing-pattern", "dead-threshold-before-missing-pattern"])
+            "sweep-zero-steps-before-missing-pattern", "dead-threshold-before-missing-pattern",
+            "analyze-zero-tol-before-missing-pattern", "sweep-nan-tol-before-missing-pattern",
+            "sweep-zero-generations-before-missing-pattern", "sweep-zero-generations",
+            "run-takes-no-dead-threshold", "oracle-check-takes-no-dead-threshold"])
     def test_exit_code(self, tmp_path, capsys, argv, code):
         taken = tmp_path / "taken"
         taken.write_text("")
         paths = {"block": pattern("block.sqp"), "taken": str(taken),
-                 "missing": str(tmp_path / "nope.sqp")}
+                 "missing": str(tmp_path / "nope.sqp"), "out": str(tmp_path / "frames")}
         assert main([arg.format(**paths) for arg in argv]) == code
-        assert capsys.readouterr().err.startswith("usage error: " if code == 1 else "error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: " if code == 1 else "error: ")
+        # the message names the flag, not the library parameter behind it
+        assert "max_gen" not in err
 
 
 class TestTracedNames:

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import gc
 import math
+import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -430,26 +433,8 @@ class TestStepGrid:
                             assert np.all(np.isfinite(g.b.real))
 
 
-def in_new_thread(fn):
-    """``fn()`` on a thread of its own, which starts with no band scratch."""
-    failures = []
-
-    def target():
-        try:
-            fn()
-        except BaseException as exc:  # re-raised on the test's thread
-            failures.append(exc)
-
-    t = threading.Thread(target=target)
-    t.start()
-    t.join(timeout=60)
-    assert not t.is_alive()
-    if failures:
-        raise failures[0]
-
-
 class TestBandScratch:
-    """Each thread steps its bands in one fixed scratch, allocating nothing per band."""
+    """Each thread steps its bands in one scratch built per step, allocating nothing per band."""
 
     def test_one_step_allocates_its_outputs_and_one_scratch(self):
         # 2, 8 and 32 bands of 32 rows at width 1024, all on the calling thread
@@ -466,37 +451,90 @@ class TestBandScratch:
         assert max(extra) - min(extra) <= 64 << 10
         assert max(extra) <= 6.60 * (1 << 20)
 
-    def test_the_calling_thread_keeps_a_one_band_scratch(self):
+    def test_no_scratch_outlives_its_step(self):
         built = []
+        scratch = rules._BandScratch
 
-        def steps():
-            g = random_grid(np.random.default_rng(18), 40, 40, Boundary.TORUS)
-            three_bands = random_grid(np.random.default_rng(19), 300, 300, Boundary.TORUS)
-            with mock.patch.object(rules, "_BandScratch", wraps=rules._BandScratch) as scratch:
-                for _ in range(5):
-                    g = step_grid(g)
-                built.append(scratch.call_count)
-                # a step of several bands builds its own and leaves the kept one
-                step_grid(three_bands)
-                step_grid(g)
-                built.append(scratch.call_count)
-                step_grid(random_grid(np.random.default_rng(20), 41, 40, Boundary.TORUS))
-                built.append(scratch.call_count)
+        def tracked(rows, w):
+            s = scratch(rows, w)
+            built.append(weakref.ref(s))
+            return s
 
-        in_new_thread(steps)
-        # one scratch for five 40x40 steps; another band shape needs another
-        assert built == [1, 2, 3]
+        small = random_grid(np.random.default_rng(18), 40, 40, Boundary.TORUS)
+        three_bands = random_grid(np.random.default_rng(19), 300, 300, Boundary.TORUS)
+        with mock.patch.object(rules, "_BandScratch", tracked):
+            step_grid(small)
+            step_grid(three_bands)
+            with threads_on_every_band():
+                step_on_cpus(step_grid, 2, three_bands)
+        gc.collect()
+        # one scratch for each one-thread step and one for each of the two threads
+        assert len(built) == 4
+        assert [ref() for ref in built] == [None] * 4
 
     def test_a_torus_step_leaves_nothing_for_a_fixed_one(self):
-        # the same band shape reuses the scratch, halo border columns included
+        # the fixed step's halo border columns are zero, not the torus step's wrapped cells
         g = random_grid(np.random.default_rng(21), 6, 5, Boundary.TORUS)
         fixed = g.with_boundary(Boundary.FIXED_DEAD)
-        got = []
-        in_new_thread(lambda: got.extend([step_grid(g), step_grid(fixed), step_grid(g)]))
-        for stepped, source in zip(got, (g, fixed, g)):
-            expected = reference.ref_step_grid(source)
+        for source in (g, fixed, g):
+            stepped, expected = step_grid(source), reference.ref_step_grid(source)
             assert stepped.a.tobytes() == expected.a.tobytes()
             assert stepped.b.tobytes() == expected.b.tobytes()
+
+
+class TestUserThreads:
+    """Steppers are pure functions, safe to share across threads."""
+
+    def test_concurrent_steps_match_the_reference(self):
+        # four user threads step their own grids at once; a one-band grid steps on
+        # its user thread, a multi-band one on that thread and a pool helper
+        rng = np.random.default_rng(23)
+        grids = [random_grid(rng, 40, 40, Boundary.FIXED_DEAD),
+                 random_grid(rng, 41, 40, Boundary.TORUS),
+                 random_grid(rng, 256, 256, Boundary.TORUS),
+                 random_grid(rng, 300, 330, Boundary.FIXED_DEAD)]
+        rounds = 3
+        expected, got = [], [[] for _ in grids]
+        for g in grids:
+            pairs = []
+            for _ in range(rounds):
+                pairs.append((reference.ref_step_grid(g), reference.ref_dual_step_grid(g)))
+                g = pairs[-1][0]
+            expected.append(pairs)
+        start = threading.Barrier(len(grids))
+        failures = []
+
+        def run(g, out):
+            try:
+                start.wait(timeout=60)
+                for _ in range(rounds):
+                    out.append((step_grid(g), dual_step_grid(g)))
+                    g = out[-1][0]
+            except BaseException as exc:  # re-raised on the test's thread
+                failures.append(exc)
+
+        threads = [threading.Thread(target=run, args=args) for args in zip(grids, got)]
+        switch = sys.getswitchinterval()
+        # two CPUs and one band per thread: the 300x330 grid's four bands and the
+        # 256x256 grid's two are shared with a helper
+        with mock.patch.object(rules, "_cpu_count", return_value=2), threads_on_every_band():
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        if failures:
+            raise failures[0]
+        for steps_got, steps_expected in zip(got, expected):
+            assert len(steps_got) == rounds
+            for pair_got, pair_expected in zip(steps_got, steps_expected):
+                for stepped, ref in zip(pair_got, pair_expected):
+                    assert stepped.a.tobytes() == ref.a.tobytes()
+                    assert stepped.b.tobytes() == ref.b.tobytes()
 
 
 class TestDuality:
@@ -806,7 +844,7 @@ class TestMatchesReference:
         edges += [math.nextafter(rules.PHASE_EPS, d) for d in (0.0, 1.0)]
         rng = np.random.default_rng(33)
         A = np.concatenate([edges, rng.uniform(0.0, 8.0, 2000), rng.integers(0, 9, 200)])
-        got = rules._weights_array(A)
+        got = rules._weights_array(A, np.empty((5, len(A))), np.empty((5, len(A)), dtype=bool))
         for w, expected in zip(got, reference._weights_array(A)):
             assert w.tobytes() == expected.tobytes()
         # a NaN sum gets no operator at all, an infinite one the overcrowding death
