@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .rules import DEFAULT_CONFIG, StepConfig, step_grid
-from .state import Boundary, CellState, Grid, PatternDocument
+from .state import Boundary, CellState, Grid
 
 BORDER_EPS = 1e-6
 
@@ -265,11 +265,7 @@ class _RecurrenceMatcher:
         offsets = self._probe(i, p_then, offsets, pad[1])
         if not offsets:
             return None
-        if self.torus:
-            padded = np.pad(p_then, pad, mode="wrap")
-        else:  # np.pad's set-up costs more than this copy on small grids
-            padded = np.zeros((h + sum(pad[0]), w + sum(pad[1])))
-            padded[top : top + h, left : left + w] = p_then
+        padded = np.pad(p_then, pad, mode="wrap" if self.torus else "constant")
         views = [padded[top - dy : top - dy + h, left - dx : left - dx + w] for dx, dy in offsets]
         for k, diffs in _max_diffs(p_now, views):
             hit = np.flatnonzero(diffs <= self.tol)
@@ -368,7 +364,7 @@ def _single_transition_estimate(
 
 
 def sweep_phase(
-    doc: PatternDocument,
+    g: Grid,
     cell: tuple[int, int],
     phases: list[float],
     cfg: StepConfig | None = None,
@@ -381,7 +377,6 @@ def sweep_phase(
     magnitude. The critical angle estimate is the midpoint of the unique
     stable-to-dead consecutive pair, when exactly one such transition exists.
     """
-    g = doc.grid
     x, y = cell
     if not (0 <= x < g.width and 0 <= y < g.height):
         raise IndexError(f"sweep cell ({x}, {y}) out of bounds")
@@ -405,7 +400,7 @@ def sweep_phase(
 
 
 def measure_burn_rate(
-    doc: PatternDocument,
+    g: Grid,
     cfg: StepConfig | None = None,
     max_gen: int = 200,
 ) -> float:
@@ -422,7 +417,7 @@ def measure_burn_rate(
     cfg = cfg or DEFAULT_CONFIG
     extents: list[int] = []
     axis: str | None = None
-    for g in evolve(doc.grid, cfg, max_gen):
+    for g in evolve(g, cfg, max_gen):
         mask = g.alive_probability() >= cfg.dead_threshold  # as in classify, equal is live
         if not mask.any():
             if len(extents) < 3:

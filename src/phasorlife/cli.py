@@ -22,7 +22,7 @@ from .analysis import classify, evolve, sweep_phase
 from .oracle import conway_step, project
 from .render import render_ascii, render_csv, render_ppm
 from .rules import StepConfig, step_grid
-from .state import Boundary, PatternDocument, PatternError, parse_pattern
+from .state import Boundary, Grid, PatternError, parse_pattern
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,33 +120,31 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load(path: str, boundary_override: str | None) -> PatternDocument:
-    doc = parse_pattern(Path(path).read_text(encoding="utf-8"))
-    if boundary_override is not None:
-        doc = dataclasses.replace(doc, grid=doc.grid.with_boundary(Boundary(boundary_override)))
-    return doc
+def _load(args: argparse.Namespace) -> Grid:
+    g = parse_pattern(Path(args.pattern).read_text(encoding="utf-8")).grid
+    return g if args.boundary is None else g.with_boundary(Boundary(args.boundary))
 
 
-def _cmd_run(loaded: list[PatternDocument], cfg: StepConfig, args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace, cfg: StepConfig) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     suffix, frame = _FRAMES[args.format]
-    for gen, g in enumerate(evolve(loaded.pop().grid, cfg, args.generations)):
+    for gen, g in enumerate(evolve(_load(args), cfg, args.generations)):
         (outdir / f"gen_{gen:05d}.{suffix}").write_bytes(frame(g))
     print(f"final total alive probability: {g.total_alive_probability():.17g}")
     return EXIT_OK
 
 
-def _cmd_analyze(loaded: list[PatternDocument], cfg: StepConfig, args: argparse.Namespace) -> int:
-    report = classify(loaded.pop().grid, cfg, max_gen=args.generations, tol=args.tol)
+def _cmd_analyze(args: argparse.Namespace, cfg: StepConfig) -> int:
+    report = classify(_load(args), cfg, max_gen=args.generations, tol=args.tol)
     print(json.dumps(report.to_json_dict(), sort_keys=True))
     return EXIT_OK
 
 
-def _cmd_sweep(loaded: list[PatternDocument], cfg: StepConfig, args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace, cfg: StepConfig) -> int:
     phases = np.linspace(args.phase_start, args.phase_end, args.steps).tolist()
     result = sweep_phase(
-        loaded.pop(),
+        _load(args),
         (args.cell[0], args.cell[1]),
         phases,
         cfg,
@@ -162,10 +160,8 @@ def _cmd_sweep(loaded: list[PatternDocument], cfg: StepConfig, args: argparse.Na
     return EXIT_OK
 
 
-def _cmd_oracle_check(
-    loaded: list[PatternDocument], cfg: StepConfig, args: argparse.Namespace
-) -> int:
-    semi = loaded.pop().grid
+def _cmd_oracle_check(args: argparse.Namespace, cfg: StepConfig) -> int:
+    semi = _load(args)
     classical = np.all((semi.a == 1.0) & (semi.b == 0.0) | (semi.a == 0.0) & (semi.b == 1.0))
     if not classical:
         raise PatternError("non-classical token in pattern")
@@ -204,6 +200,8 @@ def _validate(args: argparse.Namespace) -> None:
             raise _UsageError(f"{args.command} needs at least one generation")
         if not (args.tol > 0.0 and math.isfinite(args.tol)):
             raise _UsageError("tol must be positive and finite")
+        if not 0.0 < args.dead_threshold < 0.5:
+            raise _UsageError("--dead-threshold must lie in (0, 0.5)")
     if args.command == "sweep":
         if args.steps < 1:
             raise _UsageError("steps must be >= 1")
@@ -220,13 +218,10 @@ def main(argv: list[str] | None = None) -> int:
         # a StepConfig field that a command has no flag for keeps its default
         fields = {f.name for f in dataclasses.fields(StepConfig)}
         cfg = StepConfig(**{name: value for name, value in vars(args).items() if name in fields})
-        # the command pops the document from this list: a local would keep generation 0
-        # alive while run and oracle-check step past it, three grids where two will do
-        loaded = [_load(args.pattern, args.boundary)]
         # warnings pass the active filters, then print as one line each, without a source location
         with warnings.catch_warnings(record=True) as caught:
             try:
-                return _COMMANDS[args.command](loaded, cfg, args)
+                return _COMMANDS[args.command](args, cfg)
             finally:
                 for text in dict.fromkeys(str(w.message) for w in caught):
                     print(f"warning: {text}", file=sys.stderr)

@@ -153,7 +153,7 @@ class TestCriterion4QuarterTurnStabilityAndCriticalAngle:
         """
         doc = load_pattern("block.sqp")
         phases = np.linspace(0.0, math.pi, 128).tolist()
-        result = sweep_phase(doc, (3, 3), phases, max_gen=200, tol=1e-6)
+        result = sweep_phase(doc.grid, (3, 3), phases, max_gen=200, tol=1e-6)
         target = math.acos(-0.25)
         estimate = result.critical_angle_estimate
         stable = [p for p, r in zip(phases, result.reports) if r.is_stable()]
@@ -239,7 +239,7 @@ class TestCriterion6WickBurnRates:
     @pytest.mark.parametrize("name", ["wick_blocked.sqp", "wick_pair.sqp"])
     def test_burns_at_light_speed_with_anchored_end(self, name):
         doc = load_pattern(name)
-        rate = measure_burn_rate(doc, max_gen=30)
+        rate = measure_burn_rate(doc.grid, max_gen=30)
         rate_ok = abs(rate - 1.0) <= 0.1
 
         # anchored end must not recede while the far end burns

@@ -16,7 +16,6 @@ from phasorlife import (
     BurnRateUnmeasurable,
     CellState,
     Grid,
-    PatternDocument,
     StepConfig,
     classify,
     conway_step,
@@ -522,12 +521,12 @@ class TestMatchesReference:
 class TestSweepPhase:
     def test_zero_and_quarter_turn_stable(self):
         doc = load_pattern("block.sqp")
-        result = sweep_phase(doc, (3, 3), [0.0, math.pi / 2])
+        result = sweep_phase(doc.grid, (3, 3), [0.0, math.pi / 2])
         assert [r.verdict for r in result.reports] == ["still_life", "still_life"]
 
     def test_pi_dies_at_two(self):
         doc = load_pattern("block.sqp")
-        result = sweep_phase(doc, (3, 3), [math.pi])
+        result = sweep_phase(doc.grid, (3, 3), [math.pi])
         assert result.reports[0].verdict == "dead"
         assert result.reports[0].generation == 2
 
@@ -536,51 +535,50 @@ class TestSweepPhase:
         # neighbor-sum magnitude of at least 2: threshold arccos(-1/4)
         doc = load_pattern("block.sqp")
         phases = np.linspace(0.0, math.pi, 128).tolist()
-        result = sweep_phase(doc, (3, 3), phases)
+        result = sweep_phase(doc.grid, (3, 3), phases)
         assert result.critical_angle_estimate is not None
         step = math.pi / 127
         assert abs(result.critical_angle_estimate - math.acos(-0.25)) <= step
 
     def test_single_isolated_cell_always_dies_first_step(self):
         g = Grid.dead(5, 5).with_cell(2, 2, ALIVE)
-        doc = PatternDocument(grid=g)
-        result = sweep_phase(doc, (2, 2), np.linspace(0, 3.0, 7).tolist())
+        result = sweep_phase(g, (2, 2), np.linspace(0, 3.0, 7).tolist())
         assert all(r.verdict == "dead" and r.generation == 1 for r in result.reports)
         assert result.critical_angle_estimate is None
 
     def test_degenerate_single_point(self):
         doc = load_pattern("block.sqp")
-        result = sweep_phase(doc, (3, 3), [0.3])
+        result = sweep_phase(doc.grid, (3, 3), [0.3])
         assert len(result.reports) == 1
 
     def test_zero_phase_matches_plain_classification(self):
         for name, cell in (("block.sqp", (3, 3)), ("blinker.sqp", (2, 2))):
             doc = load_pattern(name)
             direct = classify(doc.grid)
-            swept = sweep_phase(doc, cell, [0.0]).reports[0]
+            swept = sweep_phase(doc.grid, cell, [0.0]).reports[0]
             assert swept.verdict == direct.verdict
             assert swept.period == direct.period
 
     def test_rejects_dead_target(self):
         doc = load_pattern("block.sqp")
         with pytest.raises(ValueError, match="dead"):
-            sweep_phase(doc, (0, 0), [0.0])
+            sweep_phase(doc.grid, (0, 0), [0.0])
 
     def test_rejects_out_of_bounds(self):
         doc = load_pattern("block.sqp")
         with pytest.raises(IndexError):
-            sweep_phase(doc, (9, 0), [0.0])
+            sweep_phase(doc.grid, (9, 0), [0.0])
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_rejects_non_finite_tol(self, tol):
         doc = load_pattern("block.sqp")
         with pytest.raises(ValueError, match="tol"):
-            sweep_phase(doc, (3, 3), [0.0, 1.0], tol=tol)
+            sweep_phase(doc.grid, (3, 3), [0.0, 1.0], tol=tol)
 
     def test_rejects_non_increasing_phases(self):
         doc = load_pattern("block.sqp")
         with pytest.raises(ValueError, match="increasing"):
-            sweep_phase(doc, (3, 3), [0.5, 0.5])
+            sweep_phase(doc.grid, (3, 3), [0.5, 0.5])
 
     @pytest.mark.parametrize("phases", [
         [math.nan], [0.0, math.nan, 1.0], [0.0, math.inf], [-math.inf],
@@ -588,7 +586,7 @@ class TestSweepPhase:
     def test_rejects_non_finite_phases(self, phases):
         doc = load_pattern("block.sqp")
         with pytest.raises(ValueError, match="phases must be finite"):
-            sweep_phase(doc, (3, 3), phases)
+            sweep_phase(doc.grid, (3, 3), phases)
 
 
 class TestGenerationLoop:
@@ -618,20 +616,20 @@ class TestGenerationLoop:
 class TestBurnRate:
     def test_blocked_wick_burns_at_light_speed(self):
         doc = load_pattern("wick_blocked.sqp")
-        assert measure_burn_rate(doc, max_gen=30) == pytest.approx(1.0, abs=0.1)
+        assert measure_burn_rate(doc.grid, max_gen=30) == pytest.approx(1.0, abs=0.1)
 
     def test_pair_wick_burns_at_light_speed(self):
         doc = load_pattern("wick_pair.sqp")
-        assert measure_burn_rate(doc, max_gen=30) == pytest.approx(1.0, abs=0.1)
+        assert measure_burn_rate(doc.grid, max_gen=30) == pytest.approx(1.0, abs=0.1)
 
     def test_still_life_rate_zero(self):
-        assert measure_burn_rate(load_pattern("block.sqp")) == 0.0
-        assert measure_burn_rate(load_pattern("loop.sqp")) == 0.0
+        assert measure_burn_rate(load_pattern("block.sqp").grid) == 0.0
+        assert measure_burn_rate(load_pattern("loop.sqp").grid) == 0.0
 
     def test_fast_death_is_distinct_error(self):
         doc = load_pattern("block_phase_pi.sqp")
         with pytest.raises(BurnRateUnmeasurable):
-            measure_burn_rate(doc)
+            measure_burn_rate(doc.grid)
 
     def test_cell_at_the_dead_threshold_counts_as_live(self):
         # classify calls a map dead only below the threshold, so generation 0 is a frame
@@ -641,16 +639,16 @@ class TestBurnRate:
         cfg = StepConfig(dead_threshold=0.25)
         assert classify(g, cfg).generation == 1
         with pytest.raises(BurnRateUnmeasurable, match="died after 1 frames"):
-            measure_burn_rate(PatternDocument(grid=g), cfg)
+            measure_burn_rate(g, cfg)
 
     @pytest.mark.parametrize("max_gen", [1, 0, -5])
     def test_fewer_than_three_frames_rejected(self, max_gen):
         # max_gen + 1 frames, and a line through fewer than three fits anything
         with pytest.raises(ValueError, match="max_gen must be at least 2"):
-            measure_burn_rate(load_pattern("wick_pair.sqp"), max_gen=max_gen)
+            measure_burn_rate(load_pattern("wick_pair.sqp").grid, max_gen=max_gen)
 
     def test_steps_only_between_frames(self):
         # max_gen + 1 frames need max_gen steps
         with mock.patch.object(analysis, "step_grid", wraps=analysis.step_grid) as step:
-            measure_burn_rate(load_pattern("block.sqp"), max_gen=5)
+            measure_burn_rate(load_pattern("block.sqp").grid, max_gen=5)
         assert step.call_count == 5
