@@ -13,7 +13,6 @@ from .render import render_ascii, render_csv, render_ppm
 from .rules import (
     NeighborSum,
     OperatorWeights,
-    StepConfig,
     apply_birth,
     apply_death,
     apply_survival,
@@ -53,7 +52,6 @@ __all__ = [
     "OperatorWeights",
     "PatternDocument",
     "PatternError",
-    "StepConfig",
     "SweepResult",
     "apply_birth",
     "apply_death",

@@ -16,10 +16,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .rules import DEFAULT_CONFIG, StepConfig, step_grid
+from .rules import step_grid
 from .state import Boundary, CellState, Grid
 
 BORDER_EPS = 1e-6
+# alive probability below which a cell counts as dead
+DEAD_THRESHOLD = 1e-6
 
 VERDICT_DEAD = "dead"
 VERDICT_STILL_LIFE = "still_life"
@@ -274,7 +276,7 @@ class _RecurrenceMatcher:
         return None
 
 
-def evolve(g: Grid, cfg: StepConfig, generations: int) -> Iterator[Grid]:
+def evolve(g: Grid, generations: int, canonicalize_dead_phase: bool) -> Iterator[Grid]:
     """Generation 0 (g itself), then generations 1 .. generations.
 
     Each later grid is one ``step_grid`` of the one before, taken only when
@@ -283,28 +285,34 @@ def evolve(g: Grid, cfg: StepConfig, generations: int) -> Iterator[Grid]:
     """
     yield g
     for _ in range(generations):
-        g = step_grid(g, cfg)
+        g = step_grid(g, canonicalize_dead_phase)
         yield g
+
+
+def _check_dead_threshold(dead_threshold: float) -> None:
+    if not 0.0 < dead_threshold < 0.5:
+        raise ValueError("dead_threshold must lie in (0, 0.5)")
 
 
 def classify(
     g0: Grid,
-    cfg: StepConfig | None = None,
     max_gen: int = 200,
     tol: float = 1e-6,
+    dead_threshold: float = DEAD_THRESHOLD,
+    canonicalize_dead_phase: bool = False,
 ) -> FateReport:
     """Run up to max_gen generations and classify the long-run behavior.
 
     Reports dead at the first generation where every cell's alive probability
-    sits below the configured dead threshold; otherwise looks for the smallest
+    sits below ``dead_threshold``; otherwise looks for the smallest
     recurrence period (still life, oscillator, or translation) confirmed at
     two consecutive generations; otherwise unresolved.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if max_gen < 1:
         raise ValueError("max_gen must be at least 1")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
+    _check_dead_threshold(dead_threshold)
 
     fixed = g0.boundary is Boundary.FIXED_DEAD
     border = False
@@ -320,7 +328,7 @@ def classify(
             **extra,
         )
 
-    for t, g in enumerate(evolve(g0, cfg, max_gen)):
+    for t, g in enumerate(evolve(g0, max_gen, canonicalize_dead_phase)):
         p = g.alive_probability()
         if fixed and not border and _touches_border(p):
             border = True
@@ -329,7 +337,7 @@ def classify(
             else:
                 msg = "live amplitude on the fixed boundary; the finite grid truncates the dynamics"
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
-        if p.max() < cfg.dead_threshold:
+        if p.max() < dead_threshold:
             matcher.append(p)  # not matched: a dead map's total can be 0, which centroids divide by
             return report(VERDICT_DEAD, t, generation=t)
         found = matcher.advance(p)
@@ -367,9 +375,10 @@ def sweep_phase(
     g: Grid,
     cell: tuple[int, int],
     phases: list[float],
-    cfg: StepConfig | None = None,
     max_gen: int = 200,
     tol: float = 1e-6,
+    dead_threshold: float = DEAD_THRESHOLD,
+    canonicalize_dead_phase: bool = False,
 ) -> SweepResult:
     """Classify the pattern once per phase value applied to one live cell.
 
@@ -394,15 +403,17 @@ def sweep_phase(
     reports = []
     for theta in phases:
         replaced = CellState(amp * cmath.exp(1j * theta), base.b)
-        reports.append(classify(g.with_cell(x, y, replaced), cfg, max_gen, tol))
+        reports.append(classify(g.with_cell(x, y, replaced), max_gen, tol, dead_threshold,
+                                canonicalize_dead_phase))
     estimate = _single_transition_estimate(phases, reports)
     return SweepResult(tuple(phases), tuple(reports), estimate)
 
 
 def measure_burn_rate(
     g: Grid,
-    cfg: StepConfig | None = None,
     max_gen: int = 200,
+    dead_threshold: float = DEAD_THRESHOLD,
+    canonicalize_dead_phase: bool = False,
 ) -> float:
     """Rate at which the live bounding box shrinks along its major axis.
 
@@ -414,11 +425,11 @@ def measure_burn_rate(
     """
     if max_gen < 2:
         raise ValueError("max_gen must be at least 2")
-    cfg = cfg or DEFAULT_CONFIG
+    _check_dead_threshold(dead_threshold)
     extents: list[int] = []
     axis: str | None = None
-    for g in evolve(g, cfg, max_gen):
-        mask = g.alive_probability() >= cfg.dead_threshold  # as in classify, equal is live
+    for g in evolve(g, max_gen, canonicalize_dead_phase):
+        mask = g.alive_probability() >= dead_threshold  # as in classify, equal is live
         if not mask.any():
             if len(extents) < 3:
                 raise BurnRateUnmeasurable(

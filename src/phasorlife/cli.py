@@ -8,7 +8,6 @@ invocations produce byte-identical files and stdout.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
@@ -18,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import classify, evolve, sweep_phase
+from .analysis import DEAD_THRESHOLD, classify, evolve, sweep_phase
 from .oracle import conway_step, project
 from .render import render_ascii, render_csv, render_ppm
-from .rules import StepConfig, step_grid
+from .rules import step_grid
 from .state import Boundary, Grid, PatternError, parse_pattern
 
 EXIT_OK = 0
@@ -67,11 +66,6 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
         default=None,
         help="override the pattern's boundary policy",
     )
-    p.add_argument(
-        "--canonicalize-dead-phase",
-        action="store_true",
-        help="strip the dead coefficient's phase after each step",
-    )
 
 
 def _add_classification(p: argparse.ArgumentParser) -> None:
@@ -79,7 +73,7 @@ def _add_classification(p: argparse.ArgumentParser) -> None:
                    help="maximum generations per classification")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="recurrence tolerance on alive-probability maps")
-    p.add_argument("--dead-threshold", type=float, default=StepConfig.dead_threshold,
+    p.add_argument("--dead-threshold", type=float, default=DEAD_THRESHOLD,
                    help="alive probability below which a cell counts as dead")
 
 
@@ -113,6 +107,12 @@ def build_parser() -> _Parser:
     sweep.add_argument("--phase-end", type=float, default=math.pi, help="last phase (radians)")
     sweep.add_argument("--steps", type=int, default=64, help="number of sweep points, inclusive")
 
+    # not oracle-check: the classical cells it accepts keep every b at exactly 0 or 1,
+    # which has no phase to strip
+    for p in (run, analyze, sweep):
+        p.add_argument("--canonicalize-dead-phase", action="store_true",
+                       help="strip the dead coefficient's phase after each step")
+
     oc = sub.add_parser("oracle-check", formatter_class=fmt,
                         help="compare the engine against the classical automaton")
     _add_shared(oc)
@@ -125,32 +125,30 @@ def _load(args: argparse.Namespace) -> Grid:
     return g if args.boundary is None else g.with_boundary(Boundary(args.boundary))
 
 
-def _cmd_run(args: argparse.Namespace, cfg: StepConfig) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     suffix, frame = _FRAMES[args.format]
-    for gen, g in enumerate(evolve(_load(args), cfg, args.generations)):
+    for gen, g in enumerate(evolve(_load(args), args.generations, args.canonicalize_dead_phase)):
         (outdir / f"gen_{gen:05d}.{suffix}").write_bytes(frame(g))
     print(f"final total alive probability: {g.total_alive_probability():.17g}")
     return EXIT_OK
 
 
-def _cmd_analyze(args: argparse.Namespace, cfg: StepConfig) -> int:
-    report = classify(_load(args), cfg, max_gen=args.generations, tol=args.tol)
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    report = classify(_load(args), max_gen=args.generations, tol=args.tol,
+                      dead_threshold=args.dead_threshold,
+                      canonicalize_dead_phase=args.canonicalize_dead_phase)
     print(json.dumps(report.to_json_dict(), sort_keys=True))
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace, cfg: StepConfig) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     phases = np.linspace(args.phase_start, args.phase_end, args.steps).tolist()
-    result = sweep_phase(
-        _load(args),
-        (args.cell[0], args.cell[1]),
-        phases,
-        cfg,
-        max_gen=args.generations,
-        tol=args.tol,
-    )
+    result = sweep_phase(_load(args), (args.cell[0], args.cell[1]), phases,
+                         max_gen=args.generations, tol=args.tol,
+                         dead_threshold=args.dead_threshold,
+                         canonicalize_dead_phase=args.canonicalize_dead_phase)
     print("phase_rad,verdict,death_generation")
     for theta, rep in zip(result.phases, result.reports):
         death = "" if rep.generation is None else str(rep.generation)
@@ -160,16 +158,16 @@ def _cmd_sweep(args: argparse.Namespace, cfg: StepConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle_check(args: argparse.Namespace, cfg: StepConfig) -> int:
+def _cmd_oracle_check(args: argparse.Namespace) -> int:
     semi = _load(args)
     classical = np.all((semi.a == 1.0) & (semi.b == 0.0) | (semi.a == 0.0) & (semi.b == 1.0))
     if not classical:
         raise PatternError("non-classical token in pattern")
-    boolean = project(semi, 0.5)
+    boolean = project(semi)
     for gen in range(1, args.generations + 1):
-        semi = step_grid(semi, cfg)
+        semi = step_grid(semi)
         boolean = conway_step(boolean)
-        projected = project(semi, 0.5)
+        projected = project(semi)
         if projected != boolean:
             diff = projected.alive != boolean.alive
             ys, xs = np.nonzero(diff)
@@ -215,13 +213,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _validate(args)  # before the pattern is read: usage errors win over a missing file
-        # a StepConfig field that a command has no flag for keeps its default
-        fields = {f.name for f in dataclasses.fields(StepConfig)}
-        cfg = StepConfig(**{name: value for name, value in vars(args).items() if name in fields})
         # warnings pass the active filters, then print as one line each, without a source location
         with warnings.catch_warnings(record=True) as caught:
             try:
-                return _COMMANDS[args.command](args, cfg)
+                return _COMMANDS[args.command](args)
             finally:
                 for text in dict.fromkeys(str(w.message) for w in caught):
                     print(f"warning: {text}", file=sys.stderr)

@@ -118,8 +118,6 @@ def lift(g: BoolGrid) -> Grid:
     return Grid(a, b, g.boundary)
 
 
-def project(g: Grid, threshold: float = 0.5) -> BoolGrid:
-    """Threshold readout: a cell is alive iff |a|^2 strictly exceeds threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
-    return BoolGrid(g.alive_probability() > threshold, g.boundary)
+def project(g: Grid) -> BoolGrid:
+    """Classical readout: a cell is alive iff |a|^2 strictly exceeds 1/2."""
+    return BoolGrid(g.alive_probability() > 0.5, g.boundary)

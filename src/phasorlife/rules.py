@@ -62,21 +62,6 @@ class OperatorWeights:
     w_D: float
 
 
-@dataclass(frozen=True)
-class StepConfig:
-    """Stepper options shared with the analysis layer."""
-
-    canonicalize_dead_phase: bool = False
-    dead_threshold: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.dead_threshold < 0.5:
-            raise ValueError("dead_threshold must lie in (0, 0.5)")
-
-
-DEFAULT_CONFIG = StepConfig()
-
-
 def operator_weights(A: float) -> OperatorWeights:
     """Mixture weights selected by the neighbor sum magnitude.
 
@@ -135,8 +120,11 @@ def neighbor_sum(g: Grid, x: int, y: int) -> NeighborSum:
     return NeighborSum.from_alpha(alpha)
 
 
-def step_cell(c: CellState, ns: NeighborSum, cfg: StepConfig = DEFAULT_CONFIG) -> CellState:
-    """One-cell update: weighted operator mixture, then renormalization."""
+def step_cell(c: CellState, ns: NeighborSum, canonicalize_dead_phase: bool = False) -> CellState:
+    """One-cell update: weighted operator mixture, then renormalization.
+
+    ``canonicalize_dead_phase`` then strips the phase of ``b``.
+    """
     w = operator_weights(ns.A)
     ba, bb = apply_birth(c, ns.phi)
     sa, sb = apply_survival(c)
@@ -144,7 +132,7 @@ def step_cell(c: CellState, ns: NeighborSum, cfg: StepConfig = DEFAULT_CONFIG) -
     raw_a = w.w_B * ba + w.w_S * sa + w.w_D * da
     raw_b = w.w_B * bb + w.w_S * sb + w.w_D * db
     out = normalize(raw_a, raw_b)
-    if cfg.canonicalize_dead_phase:
+    if canonicalize_dead_phase:
         out = CellState(out.a, complex(abs(out.b), 0.0))
     return out
 
@@ -292,7 +280,7 @@ def _step_band(
 
 
 def _step_arrays(
-    live: np.ndarray, dead: np.ndarray, boundary: Boundary, cfg: StepConfig
+    live: np.ndarray, dead: np.ndarray, boundary: Boundary, canonicalize_dead_phase: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous step of the component pair, alpha summed over ``live``.
 
@@ -325,7 +313,7 @@ def _step_arrays(
             for view in views:
                 alpha += view
             _step_band(live[y0:y1], dead[y0:y1], alpha, s, new_live[y0:y1], new_dead[y0:y1])
-            if cfg.canonicalize_dead_phase:
+            if canonicalize_dead_phase:
                 np.copyto(new_dead[y0:y1], np.abs(new_dead[y0:y1], out=s.real[1, :n]))
 
     k = max(1, min(_cpu_count(), len(bands) // _MIN_BANDS_PER_THREAD))
@@ -344,7 +332,7 @@ def _step_arrays(
     return new_live, new_dead
 
 
-def step_grid(g: Grid, cfg: StepConfig | None = None) -> Grid:
+def step_grid(g: Grid, canonicalize_dead_phase: bool = False) -> Grid:
     """Synchronous update of the whole grid.
 
     Pure function: the input grid is untouched and the result is bit-identical
@@ -352,11 +340,11 @@ def step_grid(g: Grid, cfg: StepConfig | None = None) -> Grid:
     generation and the bands the core steps depend on the width alone. The
     threads are capped by the process's CPU affinity.
     """
-    new_a, new_b = _step_arrays(g.a, g.b, g.boundary, cfg or DEFAULT_CONFIG)
+    new_a, new_b = _step_arrays(g.a, g.b, g.boundary, canonicalize_dead_phase)
     return Grid._adopt(new_a, new_b, g.boundary)
 
 
-def dual_step_grid(g: Grid, cfg: StepConfig | None = None) -> Grid:
+def dual_step_grid(g: Grid, canonicalize_dead_phase: bool = False) -> Grid:
     """Mirror stepper with the roles of the two components exchanged.
 
     Neighbor sums run over the b coefficients, birth fills the b slot, death
@@ -366,7 +354,7 @@ def dual_step_grid(g: Grid, cfg: StepConfig | None = None) -> Grid:
     swap-step-swap agreement does not check it on its own; the scalar
     ``step_cell``, applied with the roles swapped, does.
     """
-    new_b, new_a = _step_arrays(g.b, g.a, g.boundary, cfg or DEFAULT_CONFIG)
+    new_b, new_a = _step_arrays(g.b, g.a, g.boundary, canonicalize_dead_phase)
     return Grid._adopt(new_a, new_b, g.boundary)
 
 

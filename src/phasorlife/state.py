@@ -176,10 +176,10 @@ class Grid:
         return np.abs(self._a) ** 2
 
     def total_alive_probability(self) -> float:
-        return float(np.sum(np.abs(self._a) ** 2))
+        return float(self.alive_probability().sum())
 
     def is_normalized(self) -> bool:
-        norms = np.abs(self._a) ** 2 + np.abs(self._b) ** 2
+        norms = self.alive_probability() + np.abs(self._b) ** 2
         return bool(np.all(np.abs(norms - 1.0) <= NORM_TOL))
 
     def __eq__(self, other: object) -> bool:
@@ -382,7 +382,7 @@ def parse_pattern(text: str) -> PatternDocument:
 
     lineno, line = next_line("'version' header")
     fields = line.split()
-    if not fields or fields[0] != "version":
+    if fields[0] != "version":
         raise PatternError(f"expected 'version', got {fields[0]!r}", lineno)
     if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
         raise PatternError("malformed version header", lineno)

@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 
 from phasorlife.analysis import (
+    DEAD_THRESHOLD,
     VERDICT_DEAD,
     VERDICT_OSCILLATOR,
     VERDICT_STILL_LIFE,
@@ -24,7 +25,7 @@ from phasorlife.analysis import (
     FateReport,
     _touches_border,
 )
-from phasorlife.rules import DEFAULT_CONFIG, StepConfig, step_grid
+from phasorlife.rules import step_grid
 from phasorlife.state import Boundary, Grid
 
 
@@ -98,18 +99,18 @@ def _match(
 
 def classify(
     g0: Grid,
-    cfg: StepConfig | None = None,
     max_gen: int = 200,
     tol: float = 1e-6,
+    dead_threshold: float = DEAD_THRESHOLD,
+    canonicalize_dead_phase: bool = False,
 ) -> FateReport:
     """Run up to max_gen generations and classify the long-run behavior.
 
     Reports dead at the first generation where every cell's alive probability
-    sits below the configured dead threshold; otherwise looks for the smallest
+    sits below ``dead_threshold``; otherwise looks for the smallest
     recurrence period (still life, oscillator, or translation) confirmed at
     two consecutive generations; otherwise unresolved.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if max_gen < 1:
         raise ValueError("max_gen must be at least 1")
     if tol <= 0.0:
@@ -137,12 +138,12 @@ def classify(
             **extra,
         )
 
-    if probs[0].max() < cfg.dead_threshold:
+    if probs[0].max() < dead_threshold:
         return report(VERDICT_DEAD, 0, generation=0)
 
     cache: dict[tuple[int, int], tuple[int, int] | None] = {}
     for t in range(1, max_gen + 1):
-        g = step_grid(g, cfg)
+        g = step_grid(g, canonicalize_dead_phase)
         p = g.alive_probability()
         probs.append(p)
         totals.append(float(p.sum()))
@@ -153,7 +154,7 @@ def classify(
                 RuntimeWarning,
                 stacklevel=2,
             )
-        if p.max() < cfg.dead_threshold:
+        if p.max() < dead_threshold:
             return report(VERDICT_DEAD, t, generation=t)
         for period in range(1, t):
             offset = _match(probs, t, t - period, g.boundary, tol, cache)

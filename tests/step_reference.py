@@ -19,12 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from phasorlife.rules import (
-    DEFAULT_CONFIG,
     PHASE_EPS,
     SQRT2_PLUS_1,
     ZERO_NORM,
     _OFFSETS,
-    StepConfig,
 )
 from phasorlife.state import Boundary, Grid
 
@@ -87,22 +85,21 @@ def _normalized_pair(
     return out_live, out_dead
 
 
-def ref_step_grid(g: Grid, cfg: StepConfig | None = None) -> Grid:
+def ref_step_grid(g: Grid, canonicalize_dead_phase: bool = False) -> Grid:
     """Synchronous update of the whole grid.
 
     Pure function: the input grid is untouched, because every cell reads only
     the previous generation.
     """
-    cfg = cfg or DEFAULT_CONFIG
     alpha = _alpha_array(g.a, g.boundary)
     raw_a, raw_b = _mixed_raw(g.a, g.b, alpha)
     new_a, new_b = _normalized_pair(raw_a, raw_b, 0j, 1 + 0j)
-    if cfg.canonicalize_dead_phase:
+    if canonicalize_dead_phase:
         new_b = np.abs(new_b).astype(np.complex128)
     return Grid._adopt(new_a, new_b, g.boundary)
 
 
-def ref_dual_step_grid(g: Grid, cfg: StepConfig | None = None) -> Grid:
+def ref_dual_step_grid(g: Grid, canonicalize_dead_phase: bool = False) -> Grid:
     """Mirror stepper with the roles of the two components exchanged.
 
     Neighbor sums run over the b coefficients, birth fills the b slot, death
@@ -111,10 +108,9 @@ def ref_dual_step_grid(g: Grid, cfg: StepConfig | None = None) -> Grid:
     ``step_grid``, so swap-step-swap agreement does not check it on its own;
     the scalar ``step_cell``, applied with the roles swapped, does.
     """
-    cfg = cfg or DEFAULT_CONFIG
     alpha = _alpha_array(g.b, g.boundary)
     raw_b, raw_a = _mixed_raw(g.b, g.a, alpha)
     new_b, new_a = _normalized_pair(raw_b, raw_a, 0j, 1 + 0j)
-    if cfg.canonicalize_dead_phase:
+    if canonicalize_dead_phase:
         new_a = np.abs(new_a).astype(np.complex128)
     return Grid._adopt(new_a, new_b, g.boundary)

@@ -74,7 +74,7 @@ class TestCriterion1ClassicalLimit:
         mismatches = 0
         for bits in itertools.product((False, True), repeat=9):
             g = BoolGrid(np.array(bits, dtype=bool).reshape(3, 3))
-            if project(step_grid(lift(g)), 0.5) != conway_step(g):
+            if project(step_grid(lift(g))) != conway_step(g):
                 mismatches += 1
         report(1, mismatches == 0, f"512 exhaustive 3x3 neighborhoods, {mismatches} mismatches")
         assert mismatches == 0
@@ -87,7 +87,7 @@ class TestCriterion1ClassicalLimit:
             arr = rng.random((12, 12)) < density
             boundary = Boundary.TORUS if i % 2 else Boundary.FIXED_DEAD
             g = BoolGrid(arr, boundary)
-            if project(step_grid(lift(g)), 0.5) != conway_step(g):
+            if project(step_grid(lift(g))) != conway_step(g):
                 mismatches += 1
         report(1, mismatches == 0, f"10000 random 12x12 single steps, {mismatches} mismatches")
         assert mismatches == 0
@@ -98,11 +98,11 @@ class TestCriterion1ClassicalLimit:
     def test_trajectories(self, name, generations):
         doc = load_pattern(name)
         semi = doc.grid
-        boolean = project(semi, 0.5)
+        boolean = project(semi)
         for gen in range(1, generations + 1):
             semi = step_grid(semi)
             boolean = conway_step(boolean)
-            assert project(semi, 0.5) == boolean, f"{name} diverged at generation {gen}"
+            assert project(semi) == boolean, f"{name} diverged at generation {gen}"
         report(1, True, f"{name} exact for {generations} generations")
 
 

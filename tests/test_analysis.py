@@ -16,7 +16,6 @@ from phasorlife import (
     BurnRateUnmeasurable,
     CellState,
     Grid,
-    StepConfig,
     classify,
     conway_step,
     lift,
@@ -25,7 +24,6 @@ from phasorlife import (
     sweep_phase,
 )
 from phasorlife.oracle import BoolGrid
-from phasorlife.rules import DEFAULT_CONFIG
 import classify_reference as reference
 from classify_reference import classify as reference_classify
 from conftest import PATTERNS_DIR, load_pattern, probability_drift
@@ -203,10 +201,12 @@ class TestClassify:
         assert len(seen) == 1
         assert report.border_contact and report.verdict == "oscillator"
 
-    @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
-    def test_rejects_bad_tol(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            classify(load_pattern("blinker.sqp").grid, tol=tol)
+    @pytest.mark.parametrize("name,value", [
+        ("tol", 0.0), ("tol", math.nan), ("tol", math.inf), ("max_gen", 0),
+    ])
+    def test_rejects_bad_limits(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            classify(load_pattern("blinker.sqp").grid, **{name: value})
 
     def test_interior_pattern_does_not_warn(self):
         import warnings
@@ -575,10 +575,12 @@ class TestSweepPhase:
         with pytest.raises(ValueError, match="tol"):
             sweep_phase(doc.grid, (3, 3), [0.0, 1.0], tol=tol)
 
-    def test_rejects_non_increasing_phases(self):
+    @pytest.mark.parametrize("phases,match", [([0.5, 0.5], "increasing"), ([], "non-empty")],
+                             ids=["repeated", "empty"])
+    def test_rejects_empty_or_non_increasing_phases(self, phases, match):
         doc = load_pattern("block.sqp")
-        with pytest.raises(ValueError, match="increasing"):
-            sweep_phase(doc.grid, (3, 3), [0.5, 0.5])
+        with pytest.raises(ValueError, match=match):
+            sweep_phase(doc.grid, (3, 3), phases)
 
     @pytest.mark.parametrize("phases", [
         [math.nan], [0.0, math.nan, 1.0], [0.0, math.inf], [-math.inf],
@@ -595,7 +597,7 @@ class TestGenerationLoop:
         # three generations are four grids: asking for six yields four
         g0 = load_pattern("blinker.sqp").grid
         with mock.patch.object(analysis, "step_grid", wraps=analysis.step_grid) as step:
-            grids = list(itertools.islice(analysis.evolve(g0, DEFAULT_CONFIG, 3), asked))
+            grids = list(itertools.islice(analysis.evolve(g0, 3, False), asked))
         assert grids[0] is g0
         assert len(grids) == min(asked, 4)
         assert step.call_count == len(grids) - 1
@@ -631,15 +633,30 @@ class TestBurnRate:
         with pytest.raises(BurnRateUnmeasurable):
             measure_burn_rate(doc.grid)
 
+    def test_death_after_three_frames_fits_the_frames_seen(self):
+        # extents 2, 2, 1, then dead at generation 3: the fit stops at the death
+        doc = load_pattern("block_phase_3pi4.sqp")
+        for boundary in Boundary:
+            assert measure_burn_rate(doc.grid.with_boundary(boundary)) == pytest.approx(0.5)
+
     def test_cell_at_the_dead_threshold_counts_as_live(self):
         # classify calls a map dead only below the threshold, so generation 0 is a frame
         a = np.zeros((3, 3), complex)
         a[1, 1] = 0.5
         g = Grid(a, np.sqrt(1.0 - np.abs(a) ** 2).astype(complex))
-        cfg = StepConfig(dead_threshold=0.25)
-        assert classify(g, cfg).generation == 1
+        assert classify(g, dead_threshold=0.25).generation == 1
         with pytest.raises(BurnRateUnmeasurable, match="died after 1 frames"):
-            measure_burn_rate(g, cfg)
+            measure_burn_rate(g, dead_threshold=0.25)
+
+    @pytest.mark.parametrize("dead_threshold", [0.0, 0.5, 0.7, math.nan])
+    @pytest.mark.parametrize("call", [
+        lambda g, t: classify(g, dead_threshold=t),
+        lambda g, t: sweep_phase(g, (3, 3), [0.0], dead_threshold=t),
+        lambda g, t: measure_burn_rate(g, dead_threshold=t),
+    ], ids=["classify", "sweep_phase", "measure_burn_rate"])
+    def test_dead_threshold_outside_open_interval_rejected(self, call, dead_threshold):
+        with pytest.raises(ValueError, match=r"dead_threshold must lie in \(0, 0.5\)"):
+            call(load_pattern("block.sqp").grid, dead_threshold)
 
     @pytest.mark.parametrize("max_gen", [1, 0, -5])
     def test_fewer_than_three_frames_rejected(self, max_gen):

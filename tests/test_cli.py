@@ -288,7 +288,7 @@ class TestOracleCheck:
         # force a divergence by sabotaging the engine step
         import phasorlife.cli as cli
 
-        def broken(g, cfg=None, **kw):
+        def broken(g, *args):
             return g
 
         monkeypatch.setattr(cli, "step_grid", broken)
@@ -314,10 +314,10 @@ class TestGridLifetime:
             return doc
 
         # plain functions, not mocks: a mock keeps every argument it was called with
-        def step(g, cfg=None):
+        def step(g, *args):
             gc.collect()
             alive.append(parsed[0]() is not None)
-            return real_step(g, cfg)
+            return real_step(g, *args)
 
         real_step = cli.step_grid
         monkeypatch.setattr(cli, "parse_pattern", parse)
@@ -354,12 +354,14 @@ class TestExitPaths:
         (["sweep", "--pattern", "{block}", "--cell", "3", "3", "--generations", "0"], 1),
         (["run", "--pattern", "{block}", "--output", "{out}", "--dead-threshold", "0.1"], 1),
         (["oracle-check", "--pattern", "{block}", "--dead-threshold", "0.1"], 1),
+        (["oracle-check", "--pattern", "{block}", "--canonicalize-dead-phase"], 1),
     ], ids=["output-is-a-file", "cell-off-grid", "analyze-zero-generations",
             "sweep-zero-steps-before-missing-pattern", "dead-threshold-before-missing-pattern",
             "sweep-nan-dead-threshold-before-missing-pattern",
             "analyze-zero-tol-before-missing-pattern", "sweep-nan-tol-before-missing-pattern",
             "sweep-zero-generations-before-missing-pattern", "sweep-zero-generations",
-            "run-takes-no-dead-threshold", "oracle-check-takes-no-dead-threshold"])
+            "run-takes-no-dead-threshold", "oracle-check-takes-no-dead-threshold",
+            "oracle-check-takes-no-canonicalize-dead-phase"])
     def test_exit_code(self, tmp_path, capsys, argv, code):
         taken = tmp_path / "taken"
         taken.write_text("")

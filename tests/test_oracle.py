@@ -62,16 +62,13 @@ class TestLiftProject:
         for _ in range(100):
             arr = rng.random((6, 6)) < 0.4
             g = BoolGrid(arr)
-            assert project(lift(g), 0.5) == g
+            assert project(lift(g)) == g
 
     def test_project_threshold_strict(self):
         half = CellState(complex(1 / math.sqrt(2)), complex(1 / math.sqrt(2)))
         g = Grid.from_cells(1, 1, [half])
-        assert not project(g, 0.5).alive[0, 0]
+        assert not project(g).alive[0, 0]
 
-    def test_project_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            project(Grid.dead(1, 1), 0.0)
 
 
 class TestClassicalEquivalence:
@@ -79,7 +76,7 @@ class TestClassicalEquivalence:
         for bits in itertools.product((False, True), repeat=9):
             arr = np.array(bits, dtype=bool).reshape(3, 3)
             g = BoolGrid(arr)
-            assert project(step_grid(lift(g)), 0.5) == conway_step(g)
+            assert project(step_grid(lift(g))) == conway_step(g)
 
     def test_random_single_steps(self):
         rng = np.random.default_rng(99)
@@ -88,7 +85,7 @@ class TestClassicalEquivalence:
             arr = rng.random((8, 8)) < density
             boundary = Boundary.TORUS if rng.random() < 0.5 else Boundary.FIXED_DEAD
             g = BoolGrid(arr, boundary)
-            assert project(step_grid(lift(g)), 0.5) == conway_step(g)
+            assert project(step_grid(lift(g))) == conway_step(g)
 
     def test_trajectory_equivalence(self):
         rng = np.random.default_rng(17)
@@ -98,7 +95,7 @@ class TestClassicalEquivalence:
         for _ in range(50):
             semi = step_grid(semi)
             boolean = conway_step(boolean)
-            assert project(semi, 0.5) == boolean
+            assert project(semi) == boolean
 
     def test_classical_states_stay_exact(self):
         # binary grids evolve to binary grids with no float drift at all

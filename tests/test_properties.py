@@ -195,4 +195,4 @@ def test_dead_phase_irrelevant_at_integer_sums(c, gamma, phi, A_int):
 @settings(deadline=None)
 @given(bool_grids())
 def test_classical_limit_random(bg):
-    assert project(step_grid(lift(bg)), 0.5) == conway_step(bg)
+    assert project(step_grid(lift(bg))) == conway_step(bg)

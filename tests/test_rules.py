@@ -23,7 +23,6 @@ from phasorlife import (
     CellState,
     Grid,
     NeighborSum,
-    StepConfig,
     apply_birth,
     apply_death,
     apply_survival,
@@ -217,14 +216,9 @@ class TestStepCell:
         assert abs(out.b - 1 / SQ2) < 1e-12
 
     def test_canonicalize_dead_phase(self):
-        cfg = StepConfig(canonicalize_dead_phase=True)
-        out = step_cell(ALIVE, NeighborSum.from_alpha(1j), cfg)
+        out = step_cell(ALIVE, NeighborSum.from_alpha(1j), canonicalize_dead_phase=True)
         assert out.b.imag == 0.0
         assert out.b.real >= 0.0
-
-    def test_dead_threshold_validation(self):
-        with pytest.raises(ValueError):
-            StepConfig(dead_threshold=0.7)
 
 
 class TestStepGrid:
@@ -568,7 +562,6 @@ class TestDuality:
     def test_matches_scalar_step_with_roles_swapped(self, boundary, canonical):
         # dual_step_grid shares its array core with step_grid, so the
         # swap-step-swap checks cannot see a fault in that core; step_cell can
-        cfg = StepConfig(canonicalize_dead_phase=canonical)
         rng = np.random.default_rng(22)
         # in the swapped frame the centre sees A = 1 (pure death) at phase 0
         # and has b = -|a|: total cancellation, so the dual gives (1, 0)
@@ -578,15 +571,16 @@ class TestDuality:
         grids = [cancelling] + [random_grid(rng, 6, 5, boundary) for _ in range(20)]
         for g in grids:
             mirrored = swap_components(g)
-            stepped = dual_step_grid(g, cfg)
+            stepped = dual_step_grid(g, canonical)
             for y in range(g.height):
                 for x in range(g.width):
-                    expected = step_cell(mirrored.cell(x, y), neighbor_sum(mirrored, x, y), cfg)
+                    ns = neighbor_sum(mirrored, x, y)
+                    expected = step_cell(mirrored.cell(x, y), ns, canonical)
                     got = stepped.cell(x, y)
                     assert abs(got.a - expected.b) < 1e-12
                     assert abs(got.b - expected.a) < 1e-12
         for cpus in (1, 2):
-            assert step_on_cpus(dual_step_grid, cpus, cancelling, cfg).cell(1, 1) == ALIVE
+            assert step_on_cpus(dual_step_grid, cpus, cancelling, canonical).cell(1, 1) == ALIVE
 
     def test_random_grids(self):
         rng = np.random.default_rng(21)
@@ -688,14 +682,13 @@ class TestWorkerIndependence:
     @pytest.mark.parametrize("stepper", [step_grid, dual_step_grid])
     def test_nan_sign_bits_match(self, stepper, boundary, band_cells):
         for canonical in (False, True):
-            cfg = StepConfig(canonicalize_dead_phase=canonical)
             cur = self.nan_soup(boundary)
             with mock.patch.object(rules, "_BAND_CELLS", band_cells), threads_on_every_band():
                 for _ in range(2):
-                    base = step_on_cpus(stepper, 1, cur, cfg)
+                    base = step_on_cpus(stepper, 1, cur, canonical)
                     assert np.isnan(base.a).any() and np.isnan(base.b).any()
                     for cpus in range(2, 6):
-                        got = step_on_cpus(stepper, cpus, cur, cfg)
+                        got = step_on_cpus(stepper, cpus, cur, canonical)
                         assert got.a.tobytes() == base.a.tobytes()
                         assert got.b.tobytes() == base.b.tobytes()
                     cur = base
@@ -711,12 +704,11 @@ class TestMatchesReference:
         with threads_on_every_band():
             for stepper, ref_stepper in self.STEPPERS:
                 for canonical in (False, True):
-                    cfg = StepConfig(canonicalize_dead_phase=canonical)
                     cur = g
                     for _ in range(generations):
-                        expected = ref_stepper(cur, cfg)
+                        expected = ref_stepper(cur, canonical)
                         for cpus in range(1, 6):
-                            got = step_on_cpus(stepper, cpus, cur, cfg)
+                            got = step_on_cpus(stepper, cpus, cur, canonical)
                             assert exact_bytes(got.a) == exact_bytes(expected.a)
                             assert exact_bytes(got.b) == exact_bytes(expected.b)
                             assert got.boundary is cur.boundary

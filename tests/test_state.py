@@ -223,6 +223,22 @@ class TestParse:
         assert err.value.line == 2
         assert_parses_like_reference(text)
 
+    @pytest.mark.parametrize("line,header,message", [
+        (1, "versio 1", "expected 'version', got 'versio'"),
+        (2, "size 1", "malformed size header; expected 'size <width> <height>'"),
+        (3, "boundary", "malformed boundary header; expected 'boundary fixed|torus'"),
+        (4, "cell", "expected 'cells' header"),
+    ], ids=["version", "size", "boundary", "cells"])
+    def test_malformed_header_line(self, line, header, message):
+        headers = ["version 1", "size 1 1", "boundary fixed", "cells"]
+        headers[line - 1] = header
+        text = "\n".join([*headers, ".\n"])
+        with pytest.raises(PatternError) as err:
+            parse_pattern(text)
+        assert str(err.value) == f"{message} (line {line})"
+        assert err.value.line == line
+        assert_parses_like_reference(text)
+
     @pytest.mark.parametrize("version,message", [
         ("\u0661", "malformed version header"),  # Arabic-Indic one
         ("+1", "malformed version header"),
