@@ -35,11 +35,60 @@ _SEXTANT_CHANNELS = np.array(
     [[1, 3, 0], [2, 1, 0], [0, 1, 3], [0, 2, 1], [3, 0, 1], [1, 0, 2]], dtype=np.intp
 )
 
-_CSV_FIELDS = "%.17g,%.17g,%.17g,%.17g,%.17g"
+_CSV_HEADER = b"x,y,re_a,im_a,re_b,im_b,p_alive\n"
+
+# Bytes per formatted CSV value, the widest '%.17g' of a double: "-2.2250738585072014e-308".
+# A value's characters may sit anywhere in its slot; the NUL bytes around them are dropped.
+_SLOT = 24
 
 
-def _row_blocks(g: Grid) -> list[slice]:
-    rows = max(1, _BLOCK_CELLS // g.width)
+def _digit_quads() -> np.ndarray:
+    """ASCII of every 4-digit chunk 0000-9999 as a little-endian ``uint32``.
+
+    Entries 10000-19999 repeat them with trailing '0' characters as NUL bytes,
+    for the last nonzero chunk of a number whose trailing zeros ``%g`` drops.
+    """
+    chunk = np.arange(10_000, dtype=np.uint16)[:, None]
+    tens = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    chars = (chunk // tens % 10).astype(np.uint8) + np.uint8(ord("0"))
+    # digit j is a trailing zero iff the chunk is a multiple of 10 ** (4 - j)
+    stripped = np.where(chunk % (tens * 10) == 0, np.uint8(0), chars)
+    return np.concatenate([chars, stripped]).view("<u4").ravel()
+
+
+_QUADS = _digit_quads()
+
+
+def _fixed_heads() -> np.ndarray:
+    """Bytes 0-7 of a fixed-notation slot as a little-endian ``uint64``.
+
+    Indexed by ``(10 * -exp10 + d0) * 2 + (no digit after d0)``: byte 0 is
+    left for the sign, then the units digit, the point, the zeros after it,
+    a NUL and, below 1, d0. The four digit chunks follow in bytes 8-23.
+    """
+    heads = np.zeros((5, 10, 2, 8), dtype=np.uint8)
+    d0 = np.arange(10, dtype=np.uint8) + np.uint8(ord("0"))
+    heads[0, :, :, 1] = d0[:, None]
+    heads[0, :, 0, 2] = ord(".")  # with no digit after d0, 2.0 prints as "2"
+    heads[1:, :, :, 1] = ord("0")
+    heads[1:, :, :, 2] = ord(".")
+    for zeros in range(1, 4):
+        heads[1 + zeros :, :, :, 2 + zeros] = ord("0")
+    heads[1:, :, :, 7] = d0[:, None]
+    return heads.view("<u8").ravel()
+
+
+_FIXED_HEADS = _fixed_heads()
+
+# 10**k is exact in a double for k <= 22; hi + lo is its Veltkamp split for Dekker's product.
+_SPLITTER = 2.0**27 + 1.0
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _row_blocks(g: Grid, cells: int) -> list[slice]:
+    rows = max(1, cells // g.width)
     return [slice(y, min(y + rows, g.height)) for y in range(0, g.height, rows)]
 
 
@@ -62,7 +111,7 @@ def _squared(amp: np.ndarray) -> np.ndarray:
 def render_ascii(g: Grid) -> str:
     """One arrow per cell; rows end in newlines."""
     parts = []
-    for rows in _row_blocks(g):
+    for rows in _row_blocks(g, _BLOCK_CELLS):
         a = g.a[rows]
         amp = _amplitude(a)
         octant = np.rint(_phase(a) * 4.0 / math.pi).astype(np.intp) % 8
@@ -85,7 +134,7 @@ def render_ppm(g: Grid, cell_pixel_size: int = 1) -> bytes:
     if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
         raise ValueError(f"cell_pixel_size must be a positive integer, got {size!r}")
     parts = [f"P6\n{g.width * size} {g.height * size}\n255\n".encode("ascii")]
-    for rows in _row_blocks(g):
+    for rows in _row_blocks(g, _BLOCK_CELLS):
         a = g.a[rows]
         v = np.minimum(_squared(_amplitude(a)), 1.0)
         h = np.degrees(_phase(a)) % 360.0 / 60.0
@@ -99,14 +148,120 @@ def render_ppm(g: Grid, cell_pixel_size: int = 1) -> bytes:
     return b"".join(parts)
 
 
+def _round17(mag: np.ndarray, exp10: np.ndarray) -> np.ndarray:
+    """mag * 10**(16 - exp10) rounded half to even, as ``int64``.
+
+    Dekker's error-free product gives the exact value as p + e: p is the
+    rounded product and e its error. Wherever the result can have 17 digits,
+    p is at least 2**53, so it is an even integer and |e| <= 8, and the
+    rounding of p + e is p plus the rounding of e. Only correctly rounded
+    IEEE operations and integer casts decide the digits.
+    """
+    k = 16 - exp10
+    p = mag * _POW10[k]
+    split = mag * _SPLITTER
+    hi = split - (split - mag)
+    lo = mag - hi
+    scale_hi, scale_lo = _POW10_HI[k], _POW10_LO[k]
+    e = ((hi * scale_hi - p) + hi * scale_lo + lo * scale_hi) + lo * scale_lo
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _format_slots(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``'%.17g' % v`` for each value into its ``_SLOT``-byte row of ``out``, NUL-padded.
+
+    Exact zeros and ones are one character and a sign. A value that ``%g``
+    prints in fixed notation with 17 significant digits, decimal exponent -4
+    to 0, is written from its integer digit string. Any other value (below
+    1e-4, 10 or more after rounding, infinite or NaN) goes through ``%``.
+    """
+    out.fill(0)
+    mag = np.abs(values)
+    spelled = mag == 0.0
+    out[spelled, 1] = ord("0")
+    one = mag == 1.0
+    out[one, 1] = ord("1")
+    spelled |= one
+
+    # the digit count below is what checks log10's guess at the exponent
+    fixed = np.flatnonzero((mag >= 9e-5) & (mag < 10.0) & ~one)
+    mag = mag[fixed]
+    exp10 = np.clip(np.floor(np.log10(mag)), -5, 0).astype(np.intp)
+    digits = _round17(mag, exp10)
+    # a wrong guess gives 16 or 18 digits: redo those from mag, never from the rounded digits
+    shift = (digits >= 10**17).astype(np.intp) - (digits < 10**16)
+    moved = np.flatnonzero(shift)
+    exp10[moved] += shift[moved]
+    digits[moved] = _round17(mag[moved], exp10[moved])
+    ok = (digits >= 10**16) & (digits < 10**17) & (exp10 >= -4) & (exp10 <= 0)
+    fixed, exp10, digits = fixed[ok], exp10[ok], digits[ok]
+    spelled[fixed] = True
+
+    # d0 then four 4-digit chunks, split with exact float arithmetic below 2**53
+    head = digits // 10**8
+    tail = (digits - head * 10**8).astype(np.float64)
+    head = head.astype(np.float64)
+    d0 = np.floor(head / 1e8)
+    head -= d0 * 1e8
+    c1, c3 = np.floor(head / 1e4), np.floor(tail / 1e4)
+    chunks = (c1, head - c1 * 1e4, c3, tail - c3 * 1e4)
+    slots = np.empty((len(fixed), _SLOT), dtype=np.uint8)
+    quads = slots.view("<u4")
+    # a chunk loses its trailing zeros when every chunk after it is zero
+    zero_after = np.ones(len(fixed), dtype=bool)
+    for i in (3, 2, 1, 0):
+        quads[:, 2 + i] = _QUADS[chunks[i].astype(np.intp) + zero_after * 10_000]
+        zero_after &= chunks[i] == 0
+    slots.view("<u8")[:, 0] = _FIXED_HEADS[(d0.astype(np.intp) - 10 * exp10) * 2 + zero_after]
+    out[fixed] = slots
+    out[np.signbit(values), 0] = ord("-")
+
+    rest = np.flatnonzero(~spelled)
+    if rest.size:
+        text = ["%.17g" % v for v in values[rest].tolist()]
+        out[rest] = np.array(text, dtype=f"S{_SLOT}").view(np.uint8).reshape(-1, _SLOT)
+
+
+def _decimal_fields(count: int) -> np.ndarray:
+    """ASCII of 0 .. count - 1, one NUL-padded row each."""
+    return np.array([str(i) for i in range(count)], dtype=bytes).view(np.uint8).reshape(count, -1)
+
+
 def render_csv(g: Grid) -> str:
-    """Row-major cell dump; 17 significant digits round-trip doubles losslessly."""
-    # "y" never occurs in the formatted fields, so it can stand in for the row number
-    row_template = "".join(f"{x},y,{_CSV_FIELDS}\n" for x in range(g.width))
-    parts = ["x,y,re_a,im_a,re_b,im_b,p_alive\n"]
-    for rows in _row_blocks(g):
+    """Row-major cell dump; 17 significant digits round-trip doubles losslessly.
+
+    Each block of rows is laid out as one byte matrix, a line per cell:
+    the x and y digits, then five comma-led value slots, then a newline.
+    Dropping the matrix's NUL padding leaves the block's text.
+    """
+    # a CSV block's byte matrix takes about 130 bytes per cell: at 1024 cells a 256x256
+    # frame's text and its str copy, not the block buffers, set the peak RSS
+    blocks = _row_blocks(g, _BLOCK_CELLS // 16)
+    xs, ys = _decimal_fields(g.width), _decimal_fields(g.height)
+    values_at = xs.shape[1] + 1 + ys.shape[1]
+    lines = np.zeros(
+        (blocks[0].stop - blocks[0].start, g.width, values_at + 5 * (1 + _SLOT) + 1), dtype=np.uint8
+    )
+    lines[..., : xs.shape[1]] = xs
+    lines[..., xs.shape[1]] = ord(",")
+    fields = lines[..., values_at:-1].reshape(lines.shape[:2] + (5, 1 + _SLOT))
+    fields[..., 0] = ord(",")
+    lines[..., -1] = ord("\n")
+    slots = np.empty((lines.shape[0] * g.width * 5, _SLOT), dtype=np.uint8)
+    keep = np.empty(lines.shape, dtype=bool)
+    text = bytearray(_CSV_HEADER)
+    for rows in blocks:
         a, b = g.a[rows], g.b[rows]
         values = np.stack([a.real, a.imag, b.real, b.imag, _squared(_amplitude(a))], axis=-1)
-        template = "".join(row_template.replace("y", str(y)) for y in range(rows.start, rows.stop))
-        parts.append(template % tuple(values.ravel().tolist()))
-    return "".join(parts)
+        block_slots = slots[: values.size]
+        _format_slots(values.ravel(), block_slots)
+        n = rows.stop - rows.start
+        fields[:n, ..., 1:] = block_slots.reshape(values.shape + (_SLOT,))
+        lines[:n, :, xs.shape[1] + 1 : values_at] = ys[rows, None]
+        block, block_keep = lines[:n], keep[:n]
+        np.not_equal(block, 0, out=block_keep)
+        # a boolean mask, not np.compress: that builds an 8-byte index per byte kept
+        text += memoryview(block.ravel()[block_keep.ravel()])
+    # the text and its str copy are the peak: hold no block buffer beside them
+    del lines, fields, slots, keep, block, block_keep
+    return text.decode("ascii")

@@ -18,6 +18,7 @@ from phasorlife import (
     project,
     step_grid,
 )
+from phasorlife import oracle
 from phasorlife.oracle import _neighbor_counts
 import oracle_reference as reference
 
@@ -68,6 +69,25 @@ class TestLiftProject:
         half = CellState(complex(1 / math.sqrt(2)), complex(1 / math.sqrt(2)))
         g = Grid.from_cells(1, 1, [half])
         assert not project(g).alive[0, 0]
+
+    def test_project_matches_squared_threshold(self):
+        # comparing |a| with the cut gives the booleans of |a|^2 > 0.5 on every input
+        cut = oracle._ALIVE_CUT
+        assert cut * cut <= 0.5 < math.nextafter(cut, 2.0) ** 2
+        rng = np.random.default_rng(41)
+        n = 1 << 21
+        a = rng.uniform(0.0, 1.5, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+        edges = [
+            m for x in (cut, 0.0, math.inf, math.nan) for m in (math.nextafter(x, -1.0), x, math.nextafter(x, 2.0))
+        ]
+        # along the real axis, the imaginary axis and the diagonal
+        directions = [1.0, 1j, complex(math.sqrt(0.5), math.sqrt(0.5))]
+        a = np.concatenate([a, [m * d for m in edges for d in directions if not math.isnan(m)]])
+        a = np.concatenate([a, [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, math.nan)]])
+        g = Grid._adopt(a.reshape(1, -1), np.zeros((1, a.size), dtype=np.complex128), Boundary.TORUS)
+        with np.errstate(over="ignore"):  # the largest double squares to inf, as it should
+            expected = g.alive_probability() > 0.5
+        assert np.array_equal(project(g).alive, expected)
 
 
 

@@ -3,6 +3,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from phasorlife import render
 from phasorlife import (
     ALIVE,
+    Boundary,
     CellState,
     Grid,
     render_ascii,
@@ -129,6 +134,128 @@ class TestCsv:
             b2[int(ys), int(xs)] = complex(float(rb), float(ib))
         assert np.array_equal(a, a2)
         assert np.array_equal(b, b2)
+
+
+def formatted(values) -> list[str]:
+    """Each value's CSV slot with its NUL padding dropped."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty((values.size, render._SLOT), dtype=np.uint8)
+    render._format_slots(values, out)
+    return [bytes(slot).replace(b"\0", b"").decode("ascii") for slot in out]
+
+
+def _digit_edges() -> list[float]:
+    values = [1 - 2**-53, 9.9999999999999982, 9.99999999999999e-5, 5e-324, 2.2250738585072014e-308]
+    for k in range(-6, 3):
+        values += _ulps_around(10.0**k, 40)
+        # the doubles nearest the 17-digit roundings that carry into the next power of ten
+        values += [float(f"9.9999999999999999{d}e{k - 1}") for d in range(10)]
+    rng = np.random.default_rng(8)
+    # 17 digits followed by a 5: the decimal ties, rounded to their nearest doubles
+    for exp10 in range(-6, 2):
+        values += [float(f"{m}5e{exp10 - 17}") for m in rng.integers(10**16, 10**17, 200)]
+    values += (rng.integers(1, 2**53, 1000) / 2.0 ** rng.integers(0, 70, 1000)).tolist()
+    return values + [-v for v in values]
+
+
+class TestCsvDigits:
+    """Every CSV value slot reads exactly as CPython's ``'%.17g' % v``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=50))
+    def test_any_double(self, values):
+        assert formatted(values) == ["%.17g" % v for v in values]
+
+    def test_edge_values(self):
+        values = _digit_edges() + [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+        assert formatted(values) == ["%.17g" % v for v in values]
+
+    def test_random_doubles(self):
+        rng = np.random.default_rng(9)
+        values = np.concatenate([
+            rng.uniform(-1.0, 1.0, 20_000),
+            np.exp(rng.uniform(math.log(1e-6), math.log(20.0), 20_000)),
+            rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64),
+        ])
+        assert formatted(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def adopted_grid(values: list[complex], width: int) -> Grid:
+    """A grid the constructor would refuse, taken as is, its cells padded with zeros."""
+    a = np.array(values + [0j] * (-len(values) % width), dtype=np.complex128).reshape(-1, width)
+    # parts whose squares would overflow appear only in b, which is not squared
+    b = np.empty_like(a)
+    b.real = np.roll(a.real, 1) * 1e200
+    b.imag = np.roll(a.imag, 2)
+    return Grid._adopt(a, b, Boundary.TORUS)
+
+
+class TestCsvRefusedCells:
+    """Cells outside the normalized states reach ``%`` inside a block and match the reference."""
+
+    SPECIAL = [math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1e-5, -9.5e-5, 12.5, -1e15]
+
+    # CSV blocks take a sixteenth of _BLOCK_CELLS: 16 * 14 gives two 7-cell rows and a short last block
+    @pytest.mark.parametrize("block_cells", [1, 10, 16 * 14, render._BLOCK_CELLS])
+    def test_matches_reference(self, block_cells):
+        cells = [complex(re, im) for re in self.SPECIAL + [0.25, -1.0] for im in self.SPECIAL + [0.0]]
+        g = adopted_grid(cells, 7)
+        with mock.patch.object(render, "_BLOCK_CELLS", block_cells):
+            assert render_csv(g) == ref_render_csv(g)
+
+
+# Renders a grid of random doubles, reporting the dispatch targets still on and the frame's sha256.
+_DISPATCH_CHILD = """
+import hashlib, json, sys
+import numpy as np
+from phasorlife import Grid, render_csv
+from phasorlife.state import Boundary
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+rng = np.random.default_rng(64)
+shape = (48, 48)
+# exact powers of ten from Python's own arithmetic: every exponent, from %-written to digit-written
+scale = np.array([10.0**k for k in range(-7, 3)])
+parts = [rng.random(shape) * scale[rng.integers(0, 10, shape)] for _ in range(4)]
+g = Grid._adopt(parts[0] + 1j * parts[1], parts[2] + 1j * parts[3], Boundary.TORUS)
+on = [t for t in sys.argv[1:] if __cpu_features__.get(t)]
+print(json.dumps({"on": on, "sha256": hashlib.sha256(render_csv(g).encode()).hexdigest()}))
+"""
+
+
+def _dispatch_targets() -> list[str]:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+
+
+def _run_dispatch_child(targets: list[str], disabled: str) -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    proc = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD, *targets], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestCsvDispatch:
+    def test_bytes_do_not_depend_on_simd_dispatch(self):
+        targets = _dispatch_targets()
+        if not targets:
+            pytest.skip("numpy dispatches no kernels beyond its baseline on this host")
+        native = _run_dispatch_child(targets, "")
+        baseline = _run_dispatch_child(targets, " ".join(targets))
+        # numpy ignores a name it cannot disable, so check that every target went off
+        assert native["on"] == targets
+        assert baseline["on"] == []
+        assert baseline["sha256"] == native["sha256"]
 
 
 def _ulps_around(x: float, n: int = 2) -> list[float]:
