@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, repeat
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
@@ -230,7 +231,8 @@ _GLYPH_CELLS = {
 _TOKEN_RE = re.compile(r"\S+")
 _SIZE_RE = re.compile(r"-?[0-9]+")
 
-# byte -> index into _GLYPH_A/_GLYPH_B, 255 for every byte that is not a glyph
+# glyph -> index into _GLYPH_A/_GLYPH_B, keyed by token and by byte (255: not a glyph)
+_GLYPH_INDEX = {glyph: index for index, glyph in enumerate(_GLYPH_CELLS)}
 _GLYPH_CODES = np.full(256, 255, dtype=np.uint8)
 _GLYPH_CODES[[ord(glyph) for glyph in _GLYPH_CELLS]] = np.arange(len(_GLYPH_CELLS))
 # built from the cells, so v's -1j keeps its signed-zero real part
@@ -287,9 +289,7 @@ def _decode_phasors(tokens: list[str]) -> tuple[list[complex], np.ndarray] | Non
     reference's.
     """
     parts = [token.partition("@") for token in tokens]
-    if not all(map(itemgetter(1), parts)):
-        return None
-    try:
+    try:  # float("") refuses a token without "@"
         amps = list(map(float, map(itemgetter(0), parts)))
         degs = list(map(float, map(itemgetter(2), parts)))
     except ValueError:
@@ -308,34 +308,31 @@ def _decode_phasors(tokens: list[str]) -> tuple[list[complex], np.ndarray] | Non
 def _decode_cells(
     tokens: list[str], rows: list[tuple[int, str]], width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The a and b coefficients of each token, decoding every distinct token once.
+    """The a and b coefficients of each token, decoded where it stands.
 
     ``rows`` holds the (line number, text) of the rows the tokens came from,
-    ``width`` tokens each. Glyphs come from ``_GLYPH_CELLS``, and the other
-    distinct tokens are decoded in one batch. The batch refuses exactly the
-    tokens ``_token_error`` names, so if it refuses, they are checked one at a
-    time in first-appearance order instead, and the first bad one is the first
-    bad token in the file (glyphs are never bad); only then is its line and
-    column looked up.
+    ``width`` tokens each. Glyphs are gathered from ``_GLYPH_A``/``_GLYPH_B``,
+    and the other tokens are decoded in one batch in file order. The batch
+    refuses exactly the tokens ``_token_error`` names, so if it refuses, they
+    are checked one at a time in file order instead, and the first bad one is
+    the first bad token in the file (glyphs are never bad); only then is its
+    line and column looked up.
     """
-    table = dict.fromkeys(tokens)
-    glyphs = [token for token in table if token in _GLYPH_CELLS]
-    phasors = [token for token in table if token not in _GLYPH_CELLS]
+    codes = np.fromiter(map(_GLYPH_INDEX.get, tokens, repeat(255)), np.uint8, len(tokens))
+    phasor = codes == 255
+    phasors = list(compress(tokens, phasor.tolist()))
     decoded = _decode_phasors(phasors)
     if decoded is None:
-        for token in phasors:
+        for index, token in zip(np.flatnonzero(phasor).tolist(), phasors):
             message = _token_error(token)
             if message is not None:
-                index = tokens.index(token)
                 lineno, line = rows[index // width]
                 column = [m.start() for m in _TOKEN_RE.finditer(line)][index % width] + 1
                 raise PatternError(message, lineno, column)
-    a = np.array([_GLYPH_CELLS[token].a for token in glyphs] + decoded[0], dtype=np.complex128)
-    b = np.concatenate([[_GLYPH_CELLS[token].b for token in glyphs], decoded[1]],
-                       dtype=np.complex128)
-    table.update(zip(glyphs + phasors, range(len(table))))
-    codes = np.fromiter(map(table.__getitem__, tokens), np.intp, len(tokens))
-    return a[codes], b[codes]
+    # the phasor slots are clipped to the last glyph here and written over below
+    a, b = _GLYPH_A.take(codes, mode="clip"), _GLYPH_B.take(codes, mode="clip")
+    a[phasor], b[phasor] = decoded
+    return a, b
 
 
 def parse_pattern(text: str) -> PatternDocument:

@@ -271,7 +271,7 @@ class TestMatchesReference:
     @pytest.mark.parametrize("delta", [-1e-4, 1e-6, 1e-4, 1e-3])
     def test_block_near_transition(self, delta, tol):
         # + 1e-4 is the slowly decaying block reported as a still life (ROADMAP
-        # item 4); equality pins that verdict until it is fixed on purpose
+        # item 1); equality pins that verdict until it is fixed on purpose
         doc = load_pattern("block.sqp")
         cell = CellState(np.exp(1j * (math.acos(-0.25) + delta)), 0j)
         self.assert_same(doc.grid.with_cell(3, 3, cell), tol=tol)
@@ -318,6 +318,21 @@ class TestMatchesReference:
             expected = reference._find_translation(p_now, p_then, gap, boundary, tol)
             assert expected is not None
             assert matcher._translation(gap, 0) == expected
+
+    @pytest.mark.parametrize("boundary,p_then,tol", [
+        # a fixed-boundary earlier map of total at most tol: two cells at 4e-4 on 6x6
+        (Boundary.FIXED_DEAD, np.pad([[4e-4, 4e-4]], ((2, 3), (2, 2))), 1e-3),
+        # a 1x1 map has no nonzero offset to try, on either boundary
+        (Boundary.FIXED_DEAD, np.ones((1, 1)), 1e-6),
+        (Boundary.TORUS, np.ones((1, 1)), 1e-6),
+    ])
+    def test_translation_without_candidates(self, boundary, p_then, tol):
+        p_now = np.roll(p_then, (1, 1), axis=(0, 1))
+        matcher = matcher_over([p_then, p_now], boundary, tol)
+        probe = mock.Mock(side_effect=AssertionError("a candidate was probed"))
+        with mock.patch.object(analysis._RecurrenceMatcher, "_probe", probe):
+            assert matcher._translation(1, 0) is None
+        assert reference._find_translation(p_now, p_then, 1, boundary, tol) is None
 
     @staticmethod
     def assert_same_translation(probs, i, j, boundary, tol):

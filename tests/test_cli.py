@@ -402,18 +402,28 @@ class TestTracedNames:
 
 
 class TestEntryPoint:
+    @staticmethod
+    def run_module(argv, cwd):
+        """``python -m phasorlife *argv`` in a child that imports the package from ``src``."""
+        src = str(PATTERNS_DIR.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "phasorlife", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
     @pytest.mark.parametrize("argv,code", [
         (["oracle-check", "--pattern", pattern("glider.sqp"), "--generations", "5"], 0),
         (["run", "--pattern", pattern("block.sqp"), "--format", "jpeg"], 1),
         (["run", "--pattern", "nope.sqp"], 2),
     ])
     def test_exit_code_reaches_the_shell(self, tmp_path, argv, code):
-        src = str(PATTERNS_DIR.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "phasorlife", *argv], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = self.run_module(argv, tmp_path)
         assert proc.returncode == code, proc.stderr
+
+    def test_module_run_analyzes_the_glider(self):
+        proc = self.run_module(["analyze", "--pattern", "patterns/glider.sqp"], PATTERNS_DIR.parent)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verdict"] == "translating"
 
 
 TRANSCRIPT = json.loads(TRANSCRIPT_PATH.read_text(encoding="utf-8"))

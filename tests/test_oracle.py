@@ -46,6 +46,16 @@ class TestConwayStep:
         with pytest.raises(ValueError, match="Boundary"):
             BoolGrid(np.ones((3, 3), dtype=bool), "torus")
 
+    @pytest.mark.parametrize("alive", [
+        [True, False],  # 1-D
+        np.ones((1, 1, 1), dtype=bool),  # 3-D
+        np.ones((0, 3), dtype=bool),  # empty
+        np.ones((3, 0), dtype=bool),
+    ])
+    def test_rejects_an_array_that_is_not_2d_and_nonempty(self, alive):
+        with pytest.raises(ValueError, match="2-D with positive dimensions"):
+            BoolGrid(alive)
+
     def test_torus_wrap(self):
         # blinker crossing the seam of a torus still oscillates
         g = bool_grid(5, 5, [(4, 2), (0, 2), (1, 2)], Boundary.TORUS)

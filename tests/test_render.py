@@ -331,7 +331,13 @@ class TestMatchesReference:
     """The array renderers are byte-identical to the per-cell reference definitions."""
 
     @settings(max_examples=150, deadline=None)
-    @given(g=coefficient_grids(), block_cells=st.integers(1, 20), size=st.integers(1, 4))
+    @given(
+        g=coefficient_grids(),
+        # 1 to 20 cells split the ascii and ppm grids into row blocks; CSV blocks are a
+        # sixteenth as large, so multiples of 16 also give CSV blocks of several rows
+        block_cells=st.integers(1, 20) | st.integers(2, 40).map(lambda k: 16 * k),
+        size=st.integers(1, 4),
+    )
     def test_random_grids(self, g, block_cells, size):
         # small blocks split the grid into several row blocks with a short last one
         with mock.patch.object(render, "_BLOCK_CELLS", block_cells):

@@ -103,6 +103,26 @@ class TestGrid:
         assert g.cell(1, 0) == DEAD
         assert g2.cell(1, 0) == ALIVE
 
+    @pytest.mark.parametrize("x,y", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_with_cell_out_of_bounds(self, x, y):
+        with pytest.raises(IndexError, match="out of bounds"):
+            Grid.dead(2, 2).with_cell(x, y, ALIVE)
+
+    @pytest.mark.parametrize("a,b", [
+        ([1, 0], [0, 1]),  # 1-D
+        (np.zeros((1, 1, 1)), np.ones((1, 1, 1))),  # 3-D
+        (np.zeros((2, 2)), np.ones((2, 3))),  # unequal shapes
+        (np.zeros((2, 2)), np.ones((2, 2, 1))),
+    ])
+    def test_rejects_arrays_that_are_not_2d_with_equal_shapes(self, a, b):
+        with pytest.raises(ValueError, match="2-D with equal shapes"):
+            Grid(a, b)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_rejects_an_empty_grid(self, shape):
+        with pytest.raises(ValueError, match="positive"):
+            Grid(np.zeros(shape), np.ones(shape))
+
     @pytest.mark.parametrize("value", [
         complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
         complex(0.0, -math.inf), complex(math.nan, math.inf),
@@ -444,7 +464,7 @@ def header(width, height):
 
 
 class TestMatchesReference:
-    """The token-table parser gives the per-token reference's bits or its error."""
+    """``parse_pattern`` gives the per-token reference's bits or its error."""
 
     @settings(max_examples=400, deadline=None)
     @given(text=documents())
@@ -461,9 +481,20 @@ class TestMatchesReference:
         assert a[0, 0].tobytes() == np.complex128(complex(-0.0, -1.0)).tobytes()
         assert math.copysign(1.0, a[0, 0].real) == -1.0
 
+    def test_down_glyph_keeps_its_signed_zero_on_the_token_path(self, monkeypatch):
+        # two spaces keep the row off the byte path; the token path takes v from _GLYPH_A too
+        calls = []
+        decode = state._decode_cells
+        monkeypatch.setattr(state, "_decode_cells", lambda *args: calls.append(1) or decode(*args))
+        text = header(2, 1) + "v  .\n"
+        a = parse_pattern(text).grid.a
+        assert calls == [1]
+        assert a[0, 0].tobytes() == np.complex128(complex(-0.0, -1.0)).tobytes()
+        assert_parses_like_reference(text)
+
     @pytest.mark.parametrize("token", EDGE_TOKENS + BAD_TOKENS)
     def test_single_tokens(self, token):
-        # each token alone and after a repeat of itself, so a table hit is exercised
+        # each token alone, and twice after a glyph: both copies are decoded where they stand
         assert_parses_like_reference(header(1, 1) + token + "\n")
         assert_parses_like_reference(header(3, 1) + f". {token}  {token}\n")
 
@@ -545,6 +576,25 @@ class TestBatchDecode:
             parse_pattern(text)
         assert err.value.line == 5 + 62 and token in str(err.value)  # rows start on line 5
         assert calls[-1] == token
+
+    def test_repeated_token_then_a_bad_one_is_checked_in_file_order(self, monkeypatch):
+        # one amp@deg token thousands of times among glyphs, a bad token near the end
+        calls = self.count_token_checks(monkeypatch)
+        rng = np.random.default_rng(3)
+        tokens = np.where(rng.random(64 * 64) < 0.5, "0.5@90", ".").tolist()
+        tokens[64 * 63 + 50] = "0.5@360"
+        repeats = tokens[:64 * 63 + 50].count("0.5@90")
+        assert repeats > 1000
+        rows = (" ".join(tokens[i:i + 64]) for i in range(0, len(tokens), 64))
+        text = header(64, 64) + "\n".join(rows) + "\n"
+        assert_parses_like_reference(text)
+        calls.clear()
+        with pytest.raises(PatternError) as err:
+            parse_pattern(text)
+        column = sum(len(token) + 1 for token in tokens[64 * 63:64 * 63 + 50]) + 1
+        assert (err.value.line, err.value.column) == (5 + 63, column)
+        # every amp@deg token before the bad one is checked, once each, in file order
+        assert calls == ["0.5@90"] * repeats + ["0.5@360"]
 
     @pytest.mark.parametrize(
         "token", [t for t in EDGE_TOKENS + BAD_TOKENS if t not in state._GLYPH_CELLS])
