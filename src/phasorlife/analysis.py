@@ -1,9 +1,11 @@
 """Long-run fate classification, phase sweeps, and burn-rate measurement.
 
 Amplitudes are continuous, so "same pattern" is operationalized as recurrence
-of the per-cell alive-probability map within a tolerance, optionally up to a
-rigid translation (for moving patterns). A verdict is only issued once the
-same recurrence is confirmed at two consecutive generations.
+of the per-cell alive-probability map within a tolerance, on a torus also up
+to a rigid translation (for moving patterns). On a fixed boundary a mover
+reaches the wall, so it is stepped on until it settles or the horizon ends.
+A verdict is only issued once the same recurrence is confirmed at two
+consecutive generations.
 """
 
 from __future__ import annotations
@@ -95,11 +97,12 @@ class _RecurrenceMatcher:
     """Recurrence tests of the newest generation against every earlier one.
 
     Generation i matches an earlier generation j with offset (0, 0) when
-    max|p_i - p_j| <= tol, and otherwise, if their totals differ by at most
-    tol * size, with the first translation ``_translation`` finds. The tests
-    compare the same floats as a pair-at-a-time compare, so verdicts are
-    exact. A translation of (t, j) is searched only when (t-1, j-1) can
-    match, and is kept for one generation to confirm the next pair.
+    max|p_i - p_j| <= tol, and otherwise, on a torus only and if their totals
+    differ by at most tol * size, with the first translation ``_translation``
+    finds. The tests compare the same floats as a pair-at-a-time compare, so
+    verdicts are exact. A translation of (t, j) is searched only when
+    (t-1, j-1) can match, and is kept for one generation to confirm the next
+    pair.
     """
 
     def __init__(self, boundary: Boundary, tol: float) -> None:
@@ -109,7 +112,6 @@ class _RecurrenceMatcher:
         self.tol = tol
         self.stationary = np.zeros(0, dtype=bool)  # newest generation vs each earlier one
         self.shifts: dict[int, tuple[int, int] | None] = {}  # j -> offset of (newest, j)
-        self.centroids: dict[int, tuple[float, float]] = {}
         self.probes: dict[int, tuple[int, list[tuple[int, float]]]] = {}
 
     def append(self, p: np.ndarray) -> None:
@@ -130,11 +132,13 @@ class _RecurrenceMatcher:
         # index k is period k + 1: pair (t, t-1-k), confirmed by (t-1, t-2-k)
         now = self.stationary[t - 1 : 0 : -1]
         prev = stat_prev[::-1]
-        limit = self.tol * self.probs[t].size
-        close_now = np.abs(totals[t] - totals[t - 1 : 0 : -1]) <= limit
-        close_prev = np.abs(totals[t - 1] - totals[t - 2 :: -1]) <= limit
         still = now & prev
-        moving = close_now & close_prev & ~now & ~prev
+        moving = np.zeros_like(still)
+        if self.torus:  # a fixed boundary matches in place only
+            limit = self.tol * self.probs[t].size
+            close_now = np.abs(totals[t] - totals[t - 1 : 0 : -1]) <= limit
+            close_prev = np.abs(totals[t - 1] - totals[t - 2 :: -1]) <= limit
+            moving = close_now & close_prev & ~now & ~prev
         for k in np.flatnonzero(still | moving).tolist():
             period = k + 1
             if still[k]:
@@ -178,14 +182,6 @@ class _RecurrenceMatcher:
             hits[candidates[k : k + diffs.size]] = diffs <= self.tol
         return hits
 
-    def _centroid(self, t: int) -> tuple[float, float]:
-        if t not in self.centroids:
-            p = self.probs[t]
-            ys, xs = np.indices(p.shape)
-            total = self.totals[t]
-            self.centroids[t] = (float((p * xs).sum() / total), float((p * ys).sum() / total))
-        return self.centroids[t]
-
     def _probe(
         self, i: int, p_then: np.ndarray, offsets: list[tuple[int, int]], pad_x: tuple[int, int]
     ) -> list[tuple[int, int]]:
@@ -195,10 +191,10 @@ class _RecurrenceMatcher:
         The probe cells of p_i are the (x, value) cells of row y0, the row
         holding its first maximum, whose value is not within tol of 0 (NaN
         cells included); they are kept per generation. Each row y0 - dy of
-        p_then is read once as a list, wrapped or dead-filled by
-        pad_x = (left, right) cells like the padded copy in ``_translation``.
-        A window that misses one probe cell has a max difference above tol
-        (or NaN), so it fails the full compare too.
+        p_then is read once as a list, wrapped by pad_x = (left, right) cells
+        like the padded copy in ``_translation``. A window that misses one
+        probe cell has a max difference above tol (or NaN), so it fails the
+        full compare too.
         """
         tol = self.tol
         if i not in self.probes:
@@ -214,14 +210,8 @@ class _RecurrenceMatcher:
         for dx, dy in offsets:
             row = rows.get(dy)
             if row is None:
-                y = y0 - dy
-                if self.torus:
-                    cells = p_then[y % h].tolist()
-                    row = cells[w - left :] + cells + cells[:right]
-                else:
-                    cells = p_then[y].tolist() if 0 <= y < h else [0.0] * w
-                    row = [0.0] * left + cells + [0.0] * right
-                rows[dy] = row
+                cells = p_then[(y0 - dy) % h].tolist()
+                row = rows[dy] = cells[w - left :] + cells + cells[:right]
             shift = left - dx
             for x, v in probes:
                 if not abs(v - row[x + shift]) <= tol:
@@ -231,43 +221,33 @@ class _RecurrenceMatcher:
         return passed
 
     def _translation(self, i: int, j: int) -> tuple[int, int] | None:
-        """First nonzero offset (dx, dy) that carries p_j onto p_i within tol.
+        """First nonzero offset (dx, dy) that carries p_j onto p_i within tol
+        on a torus.
 
         Offsets move at most one cell per generation, and the candidates are
-        a block of dy times dx, dy outer and dx inner. On a torus the block
-        runs from -lim up to the last offset whose wrapped window differs
-        from every earlier one. On a fixed boundary it is the 3x3 block
-        around the rounded centroid displacement, and an earlier map with
-        total at most tol has no translation. Candidates that fail the row
-        probe (``_probe``) are dropped; each one left is a window into one
-        padded copy of p_j (wrapped, or dead-filled), and the windows are
-        compared in bounded chunks, in order.
+        a block of dy times dx, dy outer and dx inner, each range running
+        from -lim up to the last offset whose wrapped window differs from
+        every earlier one. Candidates that fail the row probe (``_probe``)
+        are dropped; each one left is a window into one wrap-padded copy of
+        p_j, and the windows are compared in bounded chunks, in order.
         """
         p_now, p_then = self.probs[i], self.probs[j]
         h, w = p_now.shape
         lim_x = min(i - j, w - 1)
         lim_y = min(i - j, h - 1)
-        if self.torus:
-            # dx and dx - w (dy and dy - h) select the same wrapped window
-            dxs = range(-lim_x, min(lim_x, w - 1 - lim_x) + 1)
-            dys = range(-lim_y, min(lim_y, h - 1 - lim_y) + 1)
-        else:
-            if self.totals[j] <= self.tol:
-                return None
-            (cx_now, cy_now), (cx_then, cy_then) = self._centroid(i), self._centroid(j)
-            base_dx, base_dy = round(cx_now - cx_then), round(cy_now - cy_then)
-            dxs = range(max(base_dx - 1, -lim_x), min(base_dx + 1, lim_x) + 1)
-            dys = range(max(base_dy - 1, -lim_y), min(base_dy + 1, lim_y) + 1)
+        # dx and dx - w (dy and dy - h) select the same wrapped window
+        dxs = range(-lim_x, min(lim_x, w - 1 - lim_x) + 1)
+        dys = range(-lim_y, min(lim_y, h - 1 - lim_y) + 1)
         offsets = [(dx, dy) for dy in dys for dx in dxs if dx or dy]
         if not offsets:
             return None
-        # padded[top + y, left + x] = p_then[y, x], wrapped or dead around it
+        # padded[top + y, left + x] = p_then[y, x], wrapped around it
         top, left = max(0, dys[-1]), max(0, dxs[-1])
         pad = ((top, max(0, -dys[0])), (left, max(0, -dxs[0])))
         offsets = self._probe(i, p_then, offsets, pad[1])
         if not offsets:
             return None
-        padded = np.pad(p_then, pad, mode="wrap" if self.torus else "constant")
+        padded = np.pad(p_then, pad, mode="wrap")
         views = [padded[top - dy : top - dy + h, left - dx : left - dx + w] for dx, dy in offsets]
         for k, diffs in _max_diffs(p_now, views):
             hit = np.flatnonzero(diffs <= self.tol)
@@ -305,8 +285,8 @@ def classify(
 
     Reports dead at the first generation where every cell's alive probability
     sits below ``dead_threshold``; otherwise looks for the smallest
-    recurrence period (still life, oscillator, or translation) confirmed at
-    two consecutive generations; otherwise unresolved.
+    recurrence period (still life, oscillator, or, on a torus, translation)
+    confirmed at two consecutive generations; otherwise unresolved.
     """
     if max_gen < 1:
         raise ValueError("max_gen must be at least 1")
@@ -338,7 +318,7 @@ def classify(
                 msg = "live amplitude on the fixed boundary; the finite grid truncates the dynamics"
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
         if p.max() < dead_threshold:
-            matcher.append(p)  # not matched: a dead map's total can be 0, which centroids divide by
+            matcher.append(p)  # kept for the report, not matched
             return report(VERDICT_DEAD, t, generation=t)
         found = matcher.advance(p)
         if found is None:

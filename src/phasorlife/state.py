@@ -173,7 +173,8 @@ class Grid:
 
     def alive_probability(self) -> np.ndarray:
         """Per-cell |a|^2 as a float array indexed [y, x]."""
-        # not libm's pow() as in the renderers: classify and oracle-check are pinned to these bits
+        # not libm's pow() as in the renderers: classify and measure_burn_rate are
+        # pinned to these bits
         return np.abs(self._a) ** 2
 
     def total_alive_probability(self) -> float:

@@ -1,9 +1,9 @@
 """Pair-at-a-time recurrence matcher, the oracle the batched ``classify`` must equal.
 
 This is ``classify`` as it was before the matcher was batched: one numpy pass
-per (generation, earlier generation) pair, a dict cache of pair results, one
-shifted copy per candidate offset on a fixed boundary and one ``np.roll`` per
-offset on a torus. It plays the role ``step_cell`` plays for the stepper and
+per (generation, earlier generation) pair, a dict cache of pair results, and
+one ``np.roll`` per candidate offset; translations are searched on a torus
+only. It plays the role ``step_cell`` plays for the stepper and
 ``render_reference.py`` for the renderers: ``tests/test_analysis.py`` asserts
 that ``phasorlife.classify`` returns an equal ``FateReport`` (same verdict,
 offsets and bit-identical history) on every case it tries.
@@ -29,48 +29,18 @@ from phasorlife.rules import step_grid
 from phasorlife.state import Boundary, Grid
 
 
-def _shifted(p: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """p translated by (dx, dy) with dead fill, matching a fixed boundary."""
-    h, w = p.shape
-    out = np.zeros_like(p)
-    ys_dst = slice(max(0, dy), h + min(0, dy))
-    xs_dst = slice(max(0, dx), w + min(0, dx))
-    ys_src = slice(max(0, -dy), h + min(0, -dy))
-    xs_src = slice(max(0, -dx), w + min(0, -dx))
-    out[ys_dst, xs_dst] = p[ys_src, xs_src]
-    return out
-
-
 def _find_translation(
-    p_now: np.ndarray, p_then: np.ndarray, gap: int, boundary: Boundary, tol: float
+    p_now: np.ndarray, p_then: np.ndarray, gap: int, tol: float
 ) -> tuple[int, int] | None:
+    """First nonzero offset that carries p_then onto p_now on a torus."""
     h, w = p_now.shape
     lim_x = min(gap, w - 1)  # speed of light: one cell per generation
     lim_y = min(gap, h - 1)
-    if boundary is Boundary.TORUS:
-        for dy in range(-lim_y, lim_y + 1):
-            for dx in range(-lim_x, lim_x + 1):
-                if dx == 0 and dy == 0:
-                    continue
-                if np.max(np.abs(p_now - np.roll(p_then, (dy, dx), axis=(0, 1)))) <= tol:
-                    return (dx, dy)
-        return None
-    mass = float(p_then.sum())
-    if mass <= tol:
-        return None
-    ys, xs = np.indices(p_now.shape)
-    cx_now = float((p_now * xs).sum() / p_now.sum())
-    cy_now = float((p_now * ys).sum() / p_now.sum())
-    cx_then = float((p_then * xs).sum() / mass)
-    cy_then = float((p_then * ys).sum() / mass)
-    base_dx = round(cx_now - cx_then)
-    base_dy = round(cy_now - cy_then)
-    for ddy in (-1, 0, 1):
-        for ddx in (-1, 0, 1):
-            dx, dy = base_dx + ddx, base_dy + ddy
-            if (dx, dy) == (0, 0) or abs(dx) > lim_x or abs(dy) > lim_y:
+    for dy in range(-lim_y, lim_y + 1):
+        for dx in range(-lim_x, lim_x + 1):
+            if dx == 0 and dy == 0:
                 continue
-            if np.max(np.abs(p_now - _shifted(p_then, dx, dy))) <= tol:
+            if np.max(np.abs(p_now - np.roll(p_then, (dy, dx), axis=(0, 1)))) <= tol:
                 return (dx, dy)
     return None
 
@@ -90,9 +60,12 @@ def _match(
     result: tuple[int, int] | None = None
     if np.max(np.abs(p_now - p_then)) <= tol:
         result = (0, 0)
-    elif abs(float(p_now.sum()) - float(p_then.sum())) <= tol * p_now.size:
-        # totals are translation invariant; only then is the offset search worth it
-        result = _find_translation(p_now, p_then, i - j, boundary, tol)
+    elif boundary is Boundary.TORUS and (
+        abs(float(p_now.sum()) - float(p_then.sum())) <= tol * p_now.size
+    ):
+        # a fixed boundary matches in place only: a mover reaches the wall.
+        # Totals are translation invariant; only then is the offset search worth it
+        result = _find_translation(p_now, p_then, i - j, tol)
     cache[key] = result
     return result
 
@@ -108,8 +81,8 @@ def classify(
 
     Reports dead at the first generation where every cell's alive probability
     sits below ``dead_threshold``; otherwise looks for the smallest
-    recurrence period (still life, oscillator, or translation) confirmed at
-    two consecutive generations; otherwise unresolved.
+    recurrence period (still life, oscillator, or, on a torus, translation)
+    confirmed at two consecutive generations; otherwise unresolved.
     """
     if max_gen < 1:
         raise ValueError("max_gen must be at least 1")

@@ -44,11 +44,9 @@ def matcher_over(probs, boundary, tol):
     return matcher
 
 
-def window(p, dx, dy, boundary):
-    """p moved by (dx, dy): wrapped on a torus, dead-filled on a fixed grid."""
-    if boundary is Boundary.TORUS:
-        return np.roll(p, (dy, dx), axis=(0, 1))
-    return reference._shifted(p, dx, dy)
+def window(p, dx, dy):
+    """p moved by (dx, dy) on a torus."""
+    return np.roll(p, (dy, dx), axis=(0, 1))
 
 
 # ten canonical classical patterns and their expected fates
@@ -81,29 +79,24 @@ CANONICAL = [
      Boundary.FIXED_DEAD, "oscillator", 3),
     ("glider", 8, 8, [(2, 1), (3, 2), (1, 3), (2, 3), (3, 3)],
      Boundary.TORUS, "translating", 4),
-    # the one classical case that reaches the fixed-boundary translation search
+    # translations are searched on a torus only: on a fixed boundary the
+    # glider runs into the wall and settles as a block
     ("glider_fixed", 20, 20, [(2, 1), (3, 2), (1, 3), (2, 3), (3, 3)],
-     Boundary.FIXED_DEAD, "translating", 4),
+     Boundary.FIXED_DEAD, "still_life", None),
 ]
-
-
-def translated(alive, dx, dy, boundary):
-    """alive moved by (dx, dy): wrapped on a torus, dead fill on a fixed boundary."""
-    if boundary is Boundary.TORUS:
-        return np.roll(alive, (dy, dx), axis=(0, 1))
-    h, w = alive.shape
-    out = np.zeros_like(alive)
-    out[max(0, dy):h + min(0, dy), max(0, dx):w + min(0, dx)] = (
-        alive[max(0, -dy):h + min(0, -dy), max(0, -dx):w + min(0, -dx)])
-    return out
 
 
 class TestClassify:
     @pytest.mark.parametrize("name,w,h,live,boundary,verdict,period", CANONICAL,
                              ids=[c[0] for c in CANONICAL])
     def test_canonical_patterns(self, name, w, h, live, boundary, verdict, period):
-        report = classify(lifted(w, h, live, boundary))
+        # only the fixed glider reaches the border
+        walled = name == "glider_fixed"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore" if walled else "error", RuntimeWarning)
+            report = classify(lifted(w, h, live, boundary))
         assert report.verdict == verdict
+        assert report.border_contact is walled
         if period is not None and verdict == "oscillator":
             assert report.period == period
         if verdict == "translating":
@@ -113,22 +106,22 @@ class TestClassify:
     @pytest.mark.parametrize("name,w,h,live,boundary,verdict,period", CANONICAL,
                              ids=[c[0] for c in CANONICAL])
     def test_agrees_with_oracle_trajectory(self, name, w, h, live, boundary, verdict, period):
-        # recurrence computed purely from the boolean oracle trajectory
+        # recurrence computed purely from the boolean oracle trajectory, with
+        # translations on a torus only
         g = BoolGrid.from_coords(w, h, live, boundary)
         seen = [g]
         found = None
-        for _ in range(40):
+        for _ in range(80):
             g = conway_step(g)
             for gap in range(1, len(seen) + 1):
                 prev = seen[len(seen) - gap]
                 if g == prev:
                     found = gap
                     break
-                moved = [
-                    np.array_equal(g.alive, translated(prev.alive, dx, dy, boundary))
+                if boundary is Boundary.TORUS and any(
+                    np.array_equal(g.alive, np.roll(prev.alive, (dy, dx), axis=(0, 1)))
                     for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                ]
-                if any(moved):
+                ):
                     found = -gap  # translation
                     break
             if found:
@@ -276,66 +269,84 @@ class TestMatchesReference:
         cell = CellState(np.exp(1j * (math.acos(-0.25) + delta)), 0j)
         self.assert_same(doc.grid.with_cell(3, 3, cell), tol=tol)
 
+    def test_fixed_boundary_glider(self):
+        # no translation is searched on a fixed boundary: the glider runs
+        # into the wall and settles as a block
+        g = lifted(20, 20, GLIDER)
+        with pytest.warns(RuntimeWarning, match="^live amplitude reached the fixed boundary; "):
+            report = classify(g)
+        assert (report.verdict, report.generations_run, report.border_contact) == (
+            "still_life", 69, True)
+        self.assert_same(g)
+
+    @pytest.mark.parametrize("case", ["glider", "r_pentomino", "r_pentomino_swept"])
+    def test_fixed_boundary_searches_no_translation(self, case):
+        # a fixed boundary matches in place only: a mover runs on to the wall.
+        # The fixed glider, and fate_rpent's r-pentomino and its sweep point 3
+        if case == "glider":
+            g = lifted(20, 20, GLIDER)
+        else:
+            g = load_pattern("r_pentomino.sqp").grid
+            assert g.boundary is Boundary.FIXED_DEAD
+            if case == "r_pentomino_swept":
+                base = g.cell(20, 21)
+                swept = CellState(abs(base.a) * np.exp(1j * RPENT_PHASES[3]), base.b)
+                g = g.with_cell(20, 21, swept)
+        search = mock.Mock(side_effect=AssertionError("a translation was searched"))
+        with warnings.catch_warnings(), \
+                mock.patch.object(analysis._RecurrenceMatcher, "_translation", search):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            classify(g)
+
     @pytest.mark.parametrize("batch_cells", [1, 1000, analysis._BATCH_CELLS])
-    def test_fixed_boundary_glider(self, batch_cells):
-        g = lifted(20, 20, [(2, 1), (3, 2), (1, 3), (2, 3), (3, 3)])
+    def test_torus_glider(self, batch_cells):
+        # small batches split the window compares of the translation found
+        g = lifted(20, 20, GLIDER, Boundary.TORUS)
         with mock.patch.object(analysis, "_BATCH_CELLS", batch_cells):
             report = classify(g)
         assert (report.verdict, report.period, report.dx, report.dy) == ("translating", 4, 1, 1)
         assert report == reference_classify(g)
 
-    @pytest.mark.parametrize("boundary,side,cell,amp,phase,tol", [
-        (Boundary.TORUS, 8, (2, 1), 0.999, 0.0, 1e-6),
-        (Boundary.TORUS, 8, (2, 1), 0.95, 0.3, 1e-3),
-        (Boundary.FIXED_DEAD, 12, (2, 3), 0.99, 0.0, 1e-6),
-        (Boundary.FIXED_DEAD, 12, (1, 3), 0.95, 0.0, 1e-4),
+    @pytest.mark.parametrize("side,cell,amp,phase,tol", [
+        (8, (2, 1), 0.999, 0.0, 1e-6),
+        (8, (2, 1), 0.95, 0.3, 1e-3),
+        (12, (2, 3), 0.99, 0.0, 1e-6),
+        (12, (1, 3), 0.95, 0.0, 1e-4),
     ])
-    def test_settling_glider(self, boundary, side, cell, amp, phase, tol):
-        # one weakened cell: the glider settles within tol only after a few
-        # generations, so a translation found at t - 1 confirms at t
-        g = lifted(side, side, [(2, 1), (3, 2), (1, 3), (2, 3), (3, 3)], boundary)
+    def test_settling_glider(self, side, cell, amp, phase, tol):
+        # one weakened cell on a torus: the glider settles within tol only
+        # after a few generations, so a translation found at t - 1 confirms at t
+        g = lifted(side, side, GLIDER, Boundary.TORUS)
         g = g.with_cell(*cell, CellState(amp * np.exp(1j * phase), math.sqrt(1 - amp * amp)))
         self.assert_same(g, tol=tol)
 
-    @pytest.mark.parametrize("boundary", [Boundary.FIXED_DEAD, Boundary.TORUS])
     @pytest.mark.parametrize("gap", [1, 2, 3])
-    def test_translation_search_order(self, boundary, gap):
+    def test_translation_search_order(self, gap):
         # maps that several offsets carry onto each other: the search must
-        # return the same first offset as the reference order. Every shift of
-        # the faint map is within tol, and its centroid moves by (1, 1), so on
-        # a fixed boundary the first candidate is the excluded (0, 0)
+        # return the same first offset as the reference order
         faint = np.zeros((10, 10))
         faint[1:8, 1:8] = np.random.default_rng(gap).random((7, 7)) * 1e-3
-        cases = [(faint, 2e-3)]
-        if boundary is Boundary.TORUS:
-            ys, xs = np.indices((6, 6))
-            diagonal = ((xs + 2 * ys) % 6) / 10.0  # symmetric under dx + 2 dy = 0 mod 6
-            cases.append((diagonal, 1e-9))
-        for p_then, tol in cases:
+        ys, xs = np.indices((6, 6))
+        diagonal = ((xs + 2 * ys) % 6) / 10.0  # symmetric under dx + 2 dy = 0 mod 6
+        for p_then, tol in [(faint, 2e-3), (diagonal, 1e-9)]:
             p_now = np.roll(p_then, (1, 1), axis=(0, 1))
             probs = [p_then] + [p_now] * gap
-            matcher = matcher_over(probs, boundary, tol)
-            expected = reference._find_translation(p_now, p_then, gap, boundary, tol)
+            matcher = matcher_over(probs, Boundary.TORUS, tol)
+            expected = reference._find_translation(p_now, p_then, gap, tol)
             assert expected is not None
             assert matcher._translation(gap, 0) == expected
 
-    @pytest.mark.parametrize("boundary,p_then,tol", [
-        # a fixed-boundary earlier map of total at most tol: two cells at 4e-4 on 6x6
-        (Boundary.FIXED_DEAD, np.pad([[4e-4, 4e-4]], ((2, 3), (2, 2))), 1e-3),
-        # a 1x1 map has no nonzero offset to try, on either boundary
-        (Boundary.FIXED_DEAD, np.ones((1, 1)), 1e-6),
-        (Boundary.TORUS, np.ones((1, 1)), 1e-6),
-    ])
-    def test_translation_without_candidates(self, boundary, p_then, tol):
-        p_now = np.roll(p_then, (1, 1), axis=(0, 1))
-        matcher = matcher_over([p_then, p_now], boundary, tol)
+    def test_translation_without_candidates(self):
+        # a 1x1 map has no nonzero offset to try
+        p = np.ones((1, 1))
+        matcher = matcher_over([p, p], Boundary.TORUS, 1e-6)
         probe = mock.Mock(side_effect=AssertionError("a candidate was probed"))
         with mock.patch.object(analysis._RecurrenceMatcher, "_probe", probe):
             assert matcher._translation(1, 0) is None
-        assert reference._find_translation(p_now, p_then, 1, boundary, tol) is None
+        assert reference._find_translation(p, p, 1, 1e-6) is None
 
     @staticmethod
-    def assert_same_translation(probs, i, j, boundary, tol):
+    def assert_same_translation(probs, i, j, tol):
         """``_translation`` of (i, j) equals the reference, and exactly the
         candidates whose window agrees with p_i on its probe row reach the
         full compare, in order. Returns the offset, the candidates and the
@@ -352,11 +363,11 @@ class TestMatchesReference:
             compared.extend(maps)
             return max_diffs(p, maps)
 
-        matcher = matcher_over(probs, boundary, tol)
+        matcher = matcher_over(probs, Boundary.TORUS, tol)
         with mock.patch.object(analysis._RecurrenceMatcher, "_probe", probing), \
                 mock.patch.object(analysis, "_max_diffs", counting):
             found = matcher._translation(i, j)
-        assert found == reference._find_translation(p_now, p_then, i - j, boundary, tol)
+        assert found == reference._find_translation(p_now, p_then, i - j, tol)
         # the probe row holds the first maximum (a NaN, if any); its probes
         # are the cells not within tol of 0
         y0 = int(np.argmax(p_now)) // p_now.shape[1]
@@ -364,12 +375,12 @@ class TestMatchesReference:
         probes = [x for x, v in enumerate(row) if not abs(v) <= tol]
         passed = [
             (dx, dy) for dx, dy in tested
-            if all(abs(row[x] - window(p_then, dx, dy, boundary)[y0].tolist()[x]) <= tol
+            if all(abs(row[x] - window(p_then, dx, dy)[y0].tolist()[x]) <= tol
                    for x in probes)
         ]
         assert len(compared) == len(passed)
         for m, (dx, dy) in zip(compared, passed):
-            assert np.array_equal(m, window(p_then, dx, dy, boundary), equal_nan=True)
+            assert np.array_equal(m, window(p_then, dx, dy), equal_nan=True)
         return found, tested, passed
 
     @pytest.mark.parametrize("gap", [39, 40, 47])
@@ -382,22 +393,20 @@ class TestMatchesReference:
         mirrored = p_now[::-1]  # no offset carries p_then onto it
         for p, expected in [(p_now, (-39, -39)), (mirrored, None)]:
             found, tested, passed = self.assert_same_translation(
-                [p_then] + [p] * gap, gap, 0, Boundary.TORUS, 1e-6)
+                [p_then] + [p] * gap, gap, 0, 1e-6)
             assert found == expected
             assert len(tested) == 40 * 40 - 1  # of 79 * 79 - 1 offsets, only these windows differ
             # each probe row holds a live glider cell, which at most one
             # candidate per live cell of p_then carries onto it
             assert 0 < len(passed) <= 5
 
-    @pytest.mark.parametrize("boundary", [Boundary.FIXED_DEAD, Boundary.TORUS])
-    def test_probe_row_matches_window_fails_elsewhere(self, boundary):
+    def test_probe_row_matches_window_fails_elsewhere(self):
         p_then = np.zeros((12, 12))
         p_then[3:9, 3:9] = np.random.default_rng(1).random((6, 6)) * 0.5
         p_then[4, 5] = 1.0
-        p_now = window(p_then, 1, 1, boundary)
+        p_now = window(p_then, 1, 1)
         p_now[8, 6] += 0.25  # below the probe row, which holds the peak in row 5
-        found, _, passed = self.assert_same_translation(
-            [p_then, p_now, p_now], 2, 0, boundary, 1e-6)
+        found, _, passed = self.assert_same_translation([p_then, p_now, p_now], 2, 0, 1e-6)
         assert found is None
         assert passed == [(1, 1)]
 
@@ -405,67 +414,45 @@ class TestMatchesReference:
     def test_probe_true_translation_wraps_on_torus(self, dx, dy):
         # every cell is live, so every probe reads a wrapped cell for some dx
         p_then = np.random.default_rng(2).random((9, 11)) * 0.5 + 0.25
-        p_now = window(p_then, dx, dy, Boundary.TORUS)
-        found, _, passed = self.assert_same_translation(
-            [p_then, p_now, p_now], 2, 0, Boundary.TORUS, 1e-6)
+        p_now = window(p_then, dx, dy)
+        found, _, passed = self.assert_same_translation([p_then, p_now, p_now], 2, 0, 1e-6)
         assert found == (dx, dy)
         assert passed == [(dx, dy)]
 
-    @pytest.mark.parametrize("dx", [1, -1])
-    def test_probe_true_translation_dead_fills_on_fixed_grid(self, dx):
-        # the peak sits in row 0, so candidates with dy = 1 probe the dead row
-        # above the grid; the last row repeats the first, so a probe that
-        # wrapped would pass (dx, 1) as well. Content leaves through a side.
-        rng = np.random.default_rng(3)
-        p_then = np.zeros((10, 10))
-        p_then[:, 1:9] = rng.random((10, 8)) * 0.5
-        p_then[:, 0 if dx < 0 else 9] = 0.01
-        p_then[0, 4] = 1.0
-        p_then[9] = p_then[0]
-        p_now = window(p_then, dx, 0, Boundary.FIXED_DEAD)
-        found, tested, passed = self.assert_same_translation(
-            [p_then, p_now, p_now], 2, 0, Boundary.FIXED_DEAD, 1e-6)
-        assert found == (dx, 0)
-        assert (dx, 1) in tested
-        assert passed == [(dx, 0)]
-
-    @pytest.mark.parametrize("boundary", [Boundary.FIXED_DEAD, Boundary.TORUS])
     @pytest.mark.parametrize("peak", [0.3, 0.9])
-    def test_loose_tol_without_probes(self, boundary, peak):
+    def test_loose_tol_without_probes(self, peak):
         # with every cell of p_now within tol of 0 there is nothing to probe,
         # so every candidate reaches the full compare; a peak of 0.9 in p_then
-        # fails every window that keeps it on the grid
+        # fails every window
         rng = np.random.default_rng(4)
         p_now = rng.random((8, 8)) * 0.3
         p_then = rng.random((8, 8)) * 0.3
         p_then[4, 4] = peak
-        _, tested, passed = self.assert_same_translation(
-            [p_then, p_now, p_now], 2, 0, boundary, 0.3)
+        _, tested, passed = self.assert_same_translation([p_then, p_now, p_now], 2, 0, 0.3)
         assert passed == tested
 
     @pytest.mark.parametrize("where", ["now", "then"])
     def test_probe_rejects_nan(self, where):
         # no compare matches a NaN, so no window with one on the probe row
-        # reaches the full compare (on a fixed grid, a NaN map's centroid is
-        # NaN and both searches raise before any compare)
+        # reaches the full compare
         p_then = np.zeros((10, 10))
         p_then[2:7, 2:7] = np.random.default_rng(5).random((5, 5)) * 0.5
         p_then[3, 4] = 1.0
-        p_now = window(p_then, 1, 1, Boundary.TORUS)
+        p_now = window(p_then, 1, 1)
         if where == "now":
             p_now[4, 3] = math.nan  # left of the peak in the probe row
         else:
             p_then[3, 2] = math.nan  # probed through the true offset
-        found, _, passed = self.assert_same_translation(
-            [p_then, p_now, p_now], 2, 0, Boundary.TORUS, 1e-6)
+        found, _, passed = self.assert_same_translation([p_then, p_now, p_now], 2, 0, 1e-6)
         assert found is None
         assert (1, 1) not in passed
 
     def test_probe_rejects_almost_every_candidate(self):
         # a probe that passed every offset would keep every report and lose
-        # its gain: on the fixed r-pentomino, as analyzed and at the sweep
-        # point that makes 6,016 searches, under 1% of the candidates that
-        # the translation searches test may reach the full compare
+        # its gain: on the r-pentomino read as a torus, as analyzed and at the
+        # sweep point that searches most, over 50 generations (173,170
+        # candidates, 13 compared), under 1% of the candidates that the
+        # translation searches test may reach the full compare
         M = analysis._RecurrenceMatcher
         probe, translation, max_diffs = M._probe, M._translation, analysis._max_diffs
         tested, compared, searching = [], [], []
@@ -486,16 +473,13 @@ class TestMatchesReference:
                 compared.append(len(maps))
             return max_diffs(p, maps)
 
-        doc = load_pattern("r_pentomino.sqp")
-        assert doc.grid.boundary is Boundary.FIXED_DEAD
-        base = doc.grid.cell(20, 21)
+        grid = load_pattern("r_pentomino.sqp").grid.with_boundary(Boundary.TORUS)
+        base = grid.cell(20, 21)
         swept = CellState(abs(base.a) * np.exp(1j * RPENT_PHASES[3]), base.b)
-        with warnings.catch_warnings(), \
-                mock.patch.multiple(M, _probe=probing, _translation=search), \
+        with mock.patch.multiple(M, _probe=probing, _translation=search), \
                 mock.patch.object(analysis, "_max_diffs", counting):
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for g in (doc.grid, doc.grid.with_cell(20, 21, swept)):
-                assert classify(g, max_gen=200).generations_run == 200
+            for g in (grid, grid.with_cell(20, 21, swept)):
+                assert classify(g, max_gen=50).generations_run == 50
         assert sum(tested) > 40_000
         assert sum(compared) < 0.01 * sum(tested)
 

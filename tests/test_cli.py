@@ -403,12 +403,12 @@ class TestTracedNames:
 
 class TestEntryPoint:
     @staticmethod
-    def run_module(argv, cwd):
-        """``python -m phasorlife *argv`` in a child that imports the package from ``src``."""
+    def run_module(argv, cwd, module="phasorlife"):
+        """``python -m module *argv`` in a child that imports the package from ``src``."""
         src = str(PATTERNS_DIR.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run([sys.executable, "-m", "phasorlife", *argv], cwd=cwd, env=env,
+        return subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd, env=env,
                               capture_output=True, text=True, timeout=120)
 
     @pytest.mark.parametrize("argv,code", [
@@ -418,6 +418,14 @@ class TestEntryPoint:
     ])
     def test_exit_code_reaches_the_shell(self, tmp_path, argv, code):
         proc = self.run_module(argv, tmp_path)
+        assert proc.returncode == code, proc.stderr
+
+    @pytest.mark.parametrize("argv,code", [
+        (["oracle-check", "--pattern", pattern("glider.sqp"), "--generations", "5"], 0),
+        (["run", "--pattern", "nope.sqp"], 2),
+    ])
+    def test_cli_module_runs_as_a_script(self, tmp_path, argv, code):
+        proc = self.run_module(argv, tmp_path, module="phasorlife.cli")
         assert proc.returncode == code, proc.stderr
 
     def test_module_run_analyzes_the_glider(self):

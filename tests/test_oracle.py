@@ -61,6 +61,16 @@ class TestConwayStep:
         g = bool_grid(5, 5, [(4, 2), (0, 2), (1, 2)], Boundary.TORUS)
         assert conway_step(conway_step(g)) == g
 
+    def test_shape_population_and_repr(self):
+        g = bool_grid(5, 3, [(1, 1), (2, 1), (3, 1)], Boundary.TORUS)
+        assert (g.width, g.height, g.population()) == (5, 3, 3)
+        assert repr(g) == "BoolGrid(5x3, torus, pop=3)"
+
+    def test_equality_with_a_non_grid_is_left_to_the_other_operand(self):
+        g = BoolGrid.dead(2, 2)
+        assert g.__eq__("grid") is NotImplemented
+        assert g != "grid"
+
 
 class TestLiftProject:
     def test_lift_single(self):

@@ -385,6 +385,13 @@ class TestStepGrid:
         expected = len(affinity(0)) if affinity else rules.os.cpu_count() or 1
         assert rules._cpu_count() == expected
 
+    @pytest.mark.parametrize("cpus,expected", [(3, 3), (None, 1)])
+    def test_cpu_count_without_an_affinity_api(self, monkeypatch, cpus, expected):
+        # macOS and Windows have no os.sched_getaffinity; os.cpu_count may be None
+        monkeypatch.delattr(rules.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(rules.os, "cpu_count", lambda: cpus)
+        assert rules._cpu_count() == expected
+
     @pytest.mark.parametrize("stepper", [step_grid, dual_step_grid])
     def test_cpu_affinity_caps_the_threads(self, stepper):
         # one-row bands cut the 8x64 grid into 64 bands, enough for eight threads,

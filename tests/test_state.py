@@ -92,6 +92,14 @@ class TestGrid:
         with pytest.raises(IndexError):
             g.cell(2, 0)
 
+    def test_equality_and_repr(self):
+        g = Grid.dead(3, 2, Boundary.TORUS)
+        assert g == Grid.dead(3, 2, Boundary.TORUS)
+        assert g != Grid.dead(3, 2)
+        assert g.__eq__("grid") is NotImplemented
+        assert g != "grid"
+        assert repr(g) == "Grid(3x2, torus)"
+
     def test_immutable_arrays(self):
         g = Grid.dead(2, 2)
         with pytest.raises(ValueError):
