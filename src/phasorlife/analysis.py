@@ -93,16 +93,30 @@ def _max_diffs(p: np.ndarray, maps: list[np.ndarray]):
         yield k, np.abs(p - np.asarray(maps[k : k + step])).max(axis=(1, 2))
 
 
+def _offsets(h: int, w: int, gap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat dx, dy of the offsets searched over gap generations on an h x w
+    torus, dy outer and dx inner, without (0, 0): each range runs from -lim
+    (one cell per generation) up to the last offset whose wrapped window
+    differs from every earlier one, as dx and dx - w select the same window.
+    """
+    lim_x, lim_y = min(gap, w - 1), min(gap, h - 1)
+    dx = np.arange(-lim_x, min(lim_x, w - 1 - lim_x) + 1)
+    dy = np.arange(-lim_y, min(lim_y, h - 1 - lim_y) + 1)
+    dxs, dys = np.tile(dx, dy.size), np.repeat(dy, dx.size)
+    moved = (dxs != 0) | (dys != 0)
+    return dxs[moved], dys[moved]
+
+
 class _RecurrenceMatcher:
     """Recurrence tests of the newest generation against every earlier one.
 
     Generation i matches an earlier generation j with offset (0, 0) when
-    max|p_i - p_j| <= tol, and otherwise, on a torus only and if their totals
-    differ by at most tol * size, with the first translation ``_translation``
-    finds. The tests compare the same floats as a pair-at-a-time compare, so
-    verdicts are exact. A translation of (t, j) is searched only when
-    (t-1, j-1) can match, and is kept for one generation to confirm the next
-    pair.
+    max|p_i - p_j| <= tol, and otherwise, on a torus only, with the first
+    translation ``_translation`` finds; either kind is tried only for pairs
+    that pass one totals gate. The tests compare the same floats as a
+    pair-at-a-time compare, so verdicts are exact. A translation of (t, j)
+    is searched only when (t-1, j-1) can match, and is kept for one
+    generation to confirm the next pair.
     """
 
     def __init__(self, boundary: Boundary, tol: float) -> None:
@@ -110,9 +124,9 @@ class _RecurrenceMatcher:
         self.totals: list[float] = []
         self.torus = boundary is Boundary.TORUS
         self.tol = tol
-        self.stationary = np.zeros(0, dtype=bool)  # newest generation vs each earlier one
+        # newest generation vs each earlier one: in place within tol, totals gate passed
+        self.stationary = self.gate = np.zeros(0, dtype=bool)
         self.shifts: dict[int, tuple[int, int] | None] = {}  # j -> offset of (newest, j)
-        self.probes: dict[int, tuple[int, list[tuple[int, float]]]] = {}
 
     def append(self, p: np.ndarray) -> None:
         """Add the next generation's map to the history, without matching it."""
@@ -124,8 +138,8 @@ class _RecurrenceMatcher:
         offset) confirmed at the newest two generations."""
         self.append(p)
         t = len(self.probs) - 1
-        totals = np.array(self.totals)
-        stat_prev, self.stationary = self.stationary, self._stationary(t, totals)
+        stat_prev, gate_prev = self.stationary, self.gate
+        self.stationary, self.gate = self._stationary(t)
         shifts_prev, self.shifts = self.shifts, {}
         if t < 2:
             return None
@@ -133,12 +147,8 @@ class _RecurrenceMatcher:
         now = self.stationary[t - 1 : 0 : -1]
         prev = stat_prev[::-1]
         still = now & prev
-        moving = np.zeros_like(still)
-        if self.torus:  # a fixed boundary matches in place only
-            limit = self.tol * self.probs[t].size
-            close_now = np.abs(totals[t] - totals[t - 1 : 0 : -1]) <= limit
-            close_prev = np.abs(totals[t - 1] - totals[t - 2 :: -1]) <= limit
-            moving = close_now & close_prev & ~now & ~prev
+        # a fixed boundary matches in place only
+        moving = self.torus & self.gate[t - 1 : 0 : -1] & gate_prev[::-1] & ~now & ~prev
         for k in np.flatnonzero(still | moving).tolist():
             period = k + 1
             if still[k]:
@@ -155,14 +165,15 @@ class _RecurrenceMatcher:
                 return period, offset
         return None
 
-    def _stationary(self, t: int, totals: np.ndarray) -> np.ndarray:
-        """max|p_t - p_j| <= tol for each j < t.
+    def _stationary(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """max|p_t - p_j| <= tol for each j < t, and whether j passed the totals gate.
 
-        Only the j that pass a totals gate are compared. With n cells,
-        u = 2**-53 and T the computed totals: if every computed |p_t - p_j| is
-        at most tol, the exact totals differ by at most n * tol * (1 + u), and
-        a computed sum of n nonnegative terms lies within about n * u of its
-        exact value, relatively, in any summation order. So
+        Only the j that pass the gate are compared. With n cells, u = 2**-53
+        and T the computed totals: if every computed |p_t - p_j| is at most
+        tol, with p_j in place or moved on a torus, the exact totals differ by
+        at most n * tol * (1 + u), and a computed sum of n nonnegative terms
+        lies within about n * u of its exact value, relatively, in any
+        summation order. So
 
             |T_t - T_j| <= n*tol + n*u*(T_t + T_j + n*tol)  (to first order in n*u)
 
@@ -174,85 +185,48 @@ class _RecurrenceMatcher:
         """
         p = self.probs[t]
         n = p.size
+        totals = np.array(self.totals)
         earlier = totals[:t]
         bound = self.tol * n + n * _GATE_EPS * (totals[t] + earlier + self.tol * n) + _GATE_FLOOR
-        candidates = np.flatnonzero(~(np.abs(earlier - totals[t]) > bound))
+        gate = ~(np.abs(earlier - totals[t]) > bound)
+        candidates = np.flatnonzero(gate)
         hits = np.zeros(t, dtype=bool)
         for k, diffs in _max_diffs(p, [self.probs[j] for j in candidates]):
             hits[candidates[k : k + diffs.size]] = diffs <= self.tol
-        return hits
-
-    def _probe(
-        self, i: int, p_then: np.ndarray, offsets: list[tuple[int, int]], pad_x: tuple[int, int]
-    ) -> list[tuple[int, int]]:
-        """The offsets, in order, whose window of p_then is within tol of p_i
-        on every probe cell.
-
-        The probe cells of p_i are the (x, value) cells of row y0, the row
-        holding its first maximum, whose value is not within tol of 0 (NaN
-        cells included); they are kept per generation. Each row y0 - dy of
-        p_then is read once as a list, wrapped by pad_x = (left, right) cells
-        like the padded copy in ``_translation``. A window that misses one
-        probe cell has a max difference above tol (or NaN), so it fails the
-        full compare too.
-        """
-        tol = self.tol
-        if i not in self.probes:
-            p = self.probs[i]
-            y0 = int(np.argmax(p)) // p.shape[1]
-            row = p[y0].tolist()
-            self.probes[i] = (y0, [(x, v) for x, v in enumerate(row) if not abs(v) <= tol])
-        y0, probes = self.probes[i]
-        h, w = p_then.shape
-        left, right = pad_x
-        rows: dict[int, list[float]] = {}
-        passed = []
-        for dx, dy in offsets:
-            row = rows.get(dy)
-            if row is None:
-                cells = p_then[(y0 - dy) % h].tolist()
-                row = rows[dy] = cells[w - left :] + cells + cells[:right]
-            shift = left - dx
-            for x, v in probes:
-                if not abs(v - row[x + shift]) <= tol:
-                    break
-            else:
-                passed.append((dx, dy))
-        return passed
+        return hits, gate
 
     def _translation(self, i: int, j: int) -> tuple[int, int] | None:
-        """First nonzero offset (dx, dy) that carries p_j onto p_i within tol
-        on a torus.
+        """First offset of ``_offsets`` that carries p_j onto p_i within tol.
 
-        Offsets move at most one cell per generation, and the candidates are
-        a block of dy times dx, dy outer and dx inner, each range running
-        from -lim up to the last offset whose wrapped window differs from
-        every earlier one. Candidates that fail the row probe (``_probe``)
-        are dropped; each one left is a window into one wrap-padded copy of
-        p_j, and the windows are compared in bounded chunks, in order.
+        Each candidate is a window into one wrap-padded copy of p_j. The
+        probe cells of p_i are the cells of the row holding its first maximum
+        (a NaN, if any) that are not within tol of 0. One gather per probe
+        cell drops the windows that miss it by more than tol, or by a NaN, and
+        so would fail the full compare too. The windows left are compared in
+        bounded chunks, in order.
         """
         p_now, p_then = self.probs[i], self.probs[j]
         h, w = p_now.shape
-        lim_x = min(i - j, w - 1)
-        lim_y = min(i - j, h - 1)
-        # dx and dx - w (dy and dy - h) select the same wrapped window
-        dxs = range(-lim_x, min(lim_x, w - 1 - lim_x) + 1)
-        dys = range(-lim_y, min(lim_y, h - 1 - lim_y) + 1)
-        offsets = [(dx, dy) for dy in dys for dx in dxs if dx or dy]
-        if not offsets:
-            return None
-        # padded[top + y, left + x] = p_then[y, x], wrapped around it
-        top, left = max(0, dys[-1]), max(0, dxs[-1])
-        pad = ((top, max(0, -dys[0])), (left, max(0, -dxs[0])))
-        offsets = self._probe(i, p_then, offsets, pad[1])
-        if not offsets:
-            return None
-        padded = np.pad(p_then, pad, mode="wrap")
-        views = [padded[top - dy : top - dy + h, left - dx : left - dx + w] for dx, dy in offsets]
-        for k, diffs in _max_diffs(p_now, views):
+        dxs, dys = _offsets(h, w, i - j)
+        # padded[pad_y + y, pad_x + x] = p_then[y, x], wrapped around it. p_then moved
+        # by (dx, dy) is the window whose top left cell has flat index corner in padded
+        pad_y, pad_x = min(i - j, h - 1), min(i - j, w - 1)
+        tall = np.concatenate((p_then[h - pad_y :], p_then, p_then[:pad_y]))
+        padded = np.concatenate((tall[:, w - pad_x :], tall, tall[:, :pad_x]), axis=1)
+        width = padded.shape[1]
+        corners = (pad_y - dys) * width + pad_x - dxs
+        y0 = int(np.argmax(p_now)) // w
+        row = p_now[y0]
+        for x in np.flatnonzero(~(np.abs(row) <= self.tol)).tolist():
+            corners = corners[np.abs(row[x] - padded.take(corners + (y0 * width + x))) <= self.tol]
+            if not corners.size:
+                return None
+        tops = [divmod(c, width) for c in corners.tolist()]
+        for k, diffs in _max_diffs(p_now, [padded[y : y + h, x : x + w] for y, x in tops]):
             hit = np.flatnonzero(diffs <= self.tol)
             if hit.size:
-                return offsets[k + int(hit[0])]
+                y, x = tops[k + int(hit[0])]
+                return pad_x - x, pad_y - y
         return None
 
 

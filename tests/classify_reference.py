@@ -57,12 +57,14 @@ def _match(
     if key in cache:
         return cache[key]
     p_now, p_then = probs[i], probs[j]
+    n, total_now, total_then = p_now.size, float(p_now.sum()), float(p_then.sum())
+    # tol per cell plus eight units of roundoff per cell in either sum, as in
+    # the matcher's totals gate: no match, in place or moved, fails it
+    slack = tol * n + n * 2.0**-50 * (total_now + total_then + tol * n) + 2.0**-1022
     result: tuple[int, int] | None = None
     if np.max(np.abs(p_now - p_then)) <= tol:
         result = (0, 0)
-    elif boundary is Boundary.TORUS and (
-        abs(float(p_now.sum()) - float(p_then.sum())) <= tol * p_now.size
-    ):
+    elif boundary is Boundary.TORUS and not abs(total_now - total_then) > slack:
         # a fixed boundary matches in place only: a mover reaches the wall.
         # Totals are translation invariant; only then is the offset search worth it
         result = _find_translation(p_now, p_then, i - j, tol)

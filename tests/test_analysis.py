@@ -49,6 +49,22 @@ def window(p, dx, dy):
     return np.roll(p, (dy, dx), axis=(0, 1))
 
 
+def first_confirmed(probs, tol):
+    """The smallest period, and offset, at which the last map matches an
+    earlier one and the map before it confirms: pair at a time, no totals gate."""
+    def match(i, j):
+        if np.abs(probs[i] - probs[j]).max() <= tol:
+            return (0, 0)
+        return reference._find_translation(probs[i], probs[j], i - j, tol)
+
+    t = len(probs) - 1
+    for period in range(1, t):
+        offset = match(t, t - period)
+        if offset is not None and match(t - 1, t - 1 - period) == offset:
+            return period, offset
+    return None
+
+
 # ten canonical classical patterns and their expected fates
 CANONICAL = [
     ("block", 6, 6, [(2, 2), (3, 2), (2, 3), (3, 3)], Boundary.FIXED_DEAD, "still_life", None),
@@ -337,13 +353,11 @@ class TestMatchesReference:
             assert matcher._translation(gap, 0) == expected
 
     def test_translation_without_candidates(self):
-        # a 1x1 map has no nonzero offset to try
-        p = np.ones((1, 1))
-        matcher = matcher_over([p, p], Boundary.TORUS, 1e-6)
-        probe = mock.Mock(side_effect=AssertionError("a candidate was probed"))
-        with mock.patch.object(analysis._RecurrenceMatcher, "_probe", probe):
-            assert matcher._translation(1, 0) is None
-        assert reference._find_translation(p, p, 1, 1e-6) is None
+        # a 1x1 map has no nonzero offset to try, with a probe cell or without
+        for p in (np.ones((1, 1)), np.zeros((1, 1))):
+            found, tested, passed = self.assert_same_translation([p, p], 1, 0, 1e-6)
+            assert found is None
+            assert tested == passed == []
 
     @staticmethod
     def assert_same_translation(probs, i, j, tol):
@@ -353,19 +367,19 @@ class TestMatchesReference:
         ones that passed the probe."""
         p_now, p_then = probs[i], probs[j]
         tested, compared = [], []
-        probe, max_diffs = analysis._RecurrenceMatcher._probe, analysis._max_diffs
+        offsets, max_diffs = analysis._offsets, analysis._max_diffs
 
-        def probing(matcher, k, p, offsets, pad_x):
-            tested.extend(offsets)
-            return probe(matcher, k, p, offsets, pad_x)
+        def block(h, w, gap):
+            dxs, dys = offsets(h, w, gap)
+            tested.extend(zip(dxs.tolist(), dys.tolist()))
+            return dxs, dys
 
         def counting(p, maps):
             compared.extend(maps)
             return max_diffs(p, maps)
 
         matcher = matcher_over(probs, Boundary.TORUS, tol)
-        with mock.patch.object(analysis._RecurrenceMatcher, "_probe", probing), \
-                mock.patch.object(analysis, "_max_diffs", counting):
+        with mock.patch.multiple(analysis, _offsets=block, _max_diffs=counting):
             found = matcher._translation(i, j)
         assert found == reference._find_translation(p_now, p_then, i - j, tol)
         # the probe row holds the first maximum (a NaN, if any); its probes
@@ -383,19 +397,26 @@ class TestMatchesReference:
             assert np.array_equal(m, window(p_then, dx, dy), equal_nan=True)
         return found, tested, passed
 
-    @pytest.mark.parametrize("gap", [39, 40, 47])
-    def test_torus_search_skips_repeated_windows(self, gap):
-        # once the gap reaches the side, dx and dx - 40 (dy and dy - 40) select
+    @pytest.mark.parametrize("w,h,gap,first,candidates", [
+        pytest.param(40, 40, 39, (-39, -39), 40 * 40 - 1, id="39"),
+        pytest.param(40, 40, 40, (-39, -39), 40 * 40 - 1, id="40"),
+        pytest.param(40, 40, 47, (-39, -39), 40 * 40 - 1, id="47"),
+        # the gap reaches the height only: 12 values of dy, 2 * 15 + 1 of dx
+        pytest.param(40, 12, 15, (1, -11), 12 * 31 - 1, id="40x12-15"),
+    ])
+    def test_torus_search_skips_repeated_windows(self, w, h, gap, first, candidates):
+        # once the gap reaches a side, dx and dx - w (dy and dy - h) select
         # the same window; only the first of each is a candidate, so a glider
-        # moved by (1, 1) still reports the reference's first offset, (-39, -39)
-        p_then = lifted(40, 40, GLIDER, Boundary.TORUS).alive_probability()
+        # moved by (1, 1) still reports the reference's first offset
+        p_then = lifted(w, h, GLIDER, Boundary.TORUS).alive_probability()
         p_now = np.roll(p_then, (1, 1), axis=(0, 1))
         mirrored = p_now[::-1]  # no offset carries p_then onto it
-        for p, expected in [(p_now, (-39, -39)), (mirrored, None)]:
+        for p, expected in [(p_now, first), (mirrored, None)]:
             found, tested, passed = self.assert_same_translation(
                 [p_then] + [p] * gap, gap, 0, 1e-6)
             assert found == expected
-            assert len(tested) == 40 * 40 - 1  # of 79 * 79 - 1 offsets, only these windows differ
+            # of 79 * 79 - 1 offsets on the square, only these windows differ
+            assert len(tested) == candidates
             # each probe row holds a live glider cell, which at most one
             # candidate per live cell of p_then carries onto it
             assert 0 < len(passed) <= 5
@@ -454,12 +475,13 @@ class TestMatchesReference:
         # candidates, 13 compared), under 1% of the candidates that the
         # translation searches test may reach the full compare
         M = analysis._RecurrenceMatcher
-        probe, translation, max_diffs = M._probe, M._translation, analysis._max_diffs
+        offsets, translation, max_diffs = analysis._offsets, M._translation, analysis._max_diffs
         tested, compared, searching = [], [], []
 
-        def probing(matcher, i, p, offsets, pad_x):
-            tested.append(len(offsets))
-            return probe(matcher, i, p, offsets, pad_x)
+        def block(h, w, gap):
+            dxs, dys = offsets(h, w, gap)
+            tested.append(dxs.size)
+            return dxs, dys
 
         def search(matcher, i, j):
             searching.append((i, j))
@@ -476,8 +498,8 @@ class TestMatchesReference:
         grid = load_pattern("r_pentomino.sqp").grid.with_boundary(Boundary.TORUS)
         base = grid.cell(20, 21)
         swept = CellState(abs(base.a) * np.exp(1j * RPENT_PHASES[3]), base.b)
-        with mock.patch.multiple(M, _probe=probing, _translation=search), \
-                mock.patch.object(analysis, "_max_diffs", counting):
+        with mock.patch.object(M, "_translation", search), \
+                mock.patch.multiple(analysis, _offsets=block, _max_diffs=counting):
             for g in (grid, grid.with_cell(20, 21, swept)):
                 assert classify(g, max_gen=50).generations_run == 50
         assert sum(tested) > 40_000
@@ -492,21 +514,29 @@ class TestMatchesReference:
         assert report == reference_classify(g)
 
     def test_totals_gate_admits_every_match(self):
-        # maps exactly tol apart in every cell: their computed totals often
-        # differ by more than tol * size, so only the rounding slack admits them
+        # maps exactly tol apart in every cell, in place or moved on a torus:
+        # their computed totals often differ by more than tol * size, so only
+        # the rounding slack admits them
         rng = np.random.default_rng(0)
-        slack_needed = 0
+        slack_needed = {"in place": 0, "moved": 0}
         for _ in range(200):
             h, w = rng.integers(1, 30, 2)
             tol = float(rng.choice([1e-6, 1e-3, 0.3]))
-            p = rng.random((h, w)) * rng.choice([1.0, 1e-3])
+            p, q = (rng.random((h, w)) * rng.choice([1.0, 1e-3]) for _ in "pq")
             probs = [p + tol, p]
             totals = [float(m.sum()) for m in probs]
-            matcher = matcher_over(probs, Boundary.FIXED_DEAD, tol)
-            stationary = matcher._stationary(1, np.array(totals))
+            stationary, _ = matcher_over(probs, Boundary.FIXED_DEAD, tol)._stationary(1)
             assert stationary.tolist() == [bool(np.abs(p - probs[0]).max() <= tol)]
-            slack_needed += stationary[0] and abs(totals[1] - totals[0]) > tol * p.size
-        assert slack_needed > 0
+            slack_needed["in place"] += stationary[0] and abs(totals[1] - totals[0]) > tol * p.size
+            # two unrelated maps, each moved by (1, 1): a period-2 translation
+            probs = [p, q, window(p, 1, 1) + tol, window(q, 1, 1) + tol]
+            totals = [float(m.sum()) for m in probs]
+            matcher = analysis._RecurrenceMatcher(Boundary.TORUS, tol)
+            found = [matcher.advance(m) for m in probs][-1]
+            assert found == first_confirmed(probs, tol)
+            slack_needed["moved"] += found is not None and found[1] != (0, 0) and max(
+                abs(totals[2] - totals[0]), abs(totals[3] - totals[1])) > tol * p.size
+        assert all(slack_needed.values())
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(g=soups(), max_gen=st.integers(1, 60), tol=st.sampled_from([1e-6, 1e-3, 0.3]),
