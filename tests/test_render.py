@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import json
 import math
 import os
@@ -19,9 +20,11 @@ from phasorlife import (
     Boundary,
     CellState,
     Grid,
+    parse_pattern,
     render_ascii,
     render_csv,
     render_ppm,
+    step_grid,
 )
 from conftest import load_pattern
 from render_reference import (
@@ -204,11 +207,12 @@ class TestCsvRefusedCells:
             assert render_csv(g) == ref_render_csv(g)
 
 
-# Renders a grid of random doubles, reporting the dispatch targets still on and the frame's sha256.
+# Renders a CSV grid of random doubles and an ascii and ppm grid across the octant and
+# sextant edges, reporting the dispatch targets still on and each frame's sha256.
 _DISPATCH_CHILD = """
-import hashlib, json, sys
+import hashlib, json, math, sys
 import numpy as np
-from phasorlife import Grid, render_csv
+from phasorlife import Grid, render_ascii, render_csv, render_ppm
 from phasorlife.state import Boundary
 try:
     from numpy._core._multiarray_umath import __cpu_features__
@@ -220,8 +224,17 @@ shape = (48, 48)
 scale = np.array([10.0**k for k in range(-7, 3)])
 parts = [rng.random(shape) * scale[rng.integers(0, 10, shape)] for _ in range(4)]
 g = Grid._adopt(parts[0] + 1j * parts[1], parts[2] + 1j * parts[3], Boundary.TORUS)
+# multiples of pi/24, which hold every octant and sextant edge, and 3 ulps either side, at
+# random amplitudes; the cells come from libm's cos and sin, which do not depend on dispatch
+points = [k * math.pi / 24 + j * math.ulp(k * math.pi / 24) for k in range(-24, 25) for j in range(-3, 4)]
+phases = (points * shape[0] * shape[1])[: shape[0] * shape[1]]
+amps = rng.uniform(0.0, 1.0, len(phases)).tolist()
+a = np.array([r * complex(math.cos(p), math.sin(p)) for r, p in zip(amps, phases)]).reshape(shape)
+edges = Grid(a, np.zeros_like(a))
+frames = {"csv": render_csv(g).encode(), "ascii": render_ascii(edges).encode(),
+          "ppm": render_ppm(edges, 2)}
 on = [t for t in sys.argv[1:] if __cpu_features__.get(t)]
-print(json.dumps({"on": on, "sha256": hashlib.sha256(render_csv(g).encode()).hexdigest()}))
+print(json.dumps({"on": on, "sha256": {k: hashlib.sha256(v).hexdigest() for k, v in frames.items()}}))
 """
 
 
@@ -355,6 +368,88 @@ class TestMatchesReference:
         a = rng.random(shape) * np.exp(1j * rng.uniform(-math.pi, math.pi, shape))
         b = rng.random(shape) * np.exp(1j * rng.uniform(-math.pi, math.pi, shape))
         assert_matches_reference(Grid(a, b), [1])
+
+
+def redone_cells(render_frame, g: Grid) -> list[tuple[float, float]]:
+    """The (im, re) of each cell whose phase ``render_frame(g)`` takes from ``math.atan2``."""
+    with mock.patch.object(math, "atan2", wraps=math.atan2) as atan2:
+        render_frame(g)
+    return [call.args for call in atan2.call_args_list]
+
+
+def cells_around(phases, amps) -> list[complex]:
+    """A cell at every amplitude and at each phase and 3 ulps either side of it."""
+    return [amp * complex(math.cos(q), math.sin(q))
+            for amp in amps for p in phases for q in _ulps_around(p, 3)]
+
+
+def libm_hue(c: complex) -> float:
+    """The hue sextant coordinate h of a cell, as the reference renderer computes it."""
+    return math.degrees(cmath.phase(c)) % 360.0 / 60.0
+
+
+def grid_of(cells: list[complex]) -> Grid:
+    a = np.array(cells + [0j] * (-len(cells) % 7)).reshape(-1, 7)
+    return Grid(a, np.zeros_like(a))
+
+
+class TestPhaseFallback:
+    """Cells near an octant, sextant or channel rounding edge take their phase from libm's atan2."""
+
+    AMPS = [1.0, 0.95, 0.6, 0.3]
+
+    def assert_redone(self, render_frame, cells):
+        g = grid_of(cells)
+        assert {(c.imag, c.real) for c in cells} <= set(redone_cells(render_frame, g))
+        assert_matches_reference(g)
+
+    @pytest.mark.parametrize("k", range(-4, 4))
+    def test_octant_edges(self, k):
+        edge = (2 * k + 1) / 2
+        cells = cells_around([edge * math.pi / 4], self.AMPS)
+        offsets = [cmath.phase(c) * 4.0 / math.pi - edge for c in cells]
+        assert min(offsets) <= 0.0 <= max(offsets)
+        self.assert_redone(render_ascii, cells)
+
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_sextant_edges(self, k):
+        # k = 0 is the 0/360 wrap and k = +-3 the +-pi branch cut; around pi both
+        # signs give octant 4, so the ascii frame has no edge there
+        cells = cells_around([k * math.pi / 3], self.AMPS)
+        offsets = [libm_hue(c) - round(libm_hue(c)) for c in cells]
+        assert min(offsets) <= 0.0 <= max(offsets)
+        self.assert_redone(render_ppm, cells)
+
+    @pytest.mark.parametrize("sextant", range(6))
+    def test_channel_half_points(self, sextant):
+        cells = []
+        for amp in self.AMPS:
+            v = amp**2
+            for share in (0.1, 0.5, 0.9):
+                # 255 * v * f on the half-integer nearest share * 255 * v
+                half = math.floor(share * 255 * v) + 0.5
+                deg = 60 * (sextant + half / (255 * v))
+                cells += cells_around([math.radians(deg - 360 if deg > 180 else deg)], [amp])
+        for c in cells:
+            h = libm_hue(c)
+            # far inside the margin of the half-integer
+            assert abs(255 * (min(abs(c) ** 2, 1.0) * (h - math.floor(h))) % 1.0 - 0.5) < 1e-11
+        self.assert_redone(render_ppm, cells)
+
+    def test_benchmark_frames_rarely_fall_back(self):
+        spec = importlib.util.spec_from_file_location(
+            "bench_gen", Path(__file__).resolve().parent.parent / "benchmarks" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        g = parse_pattern(gen.frames_pattern(0)).grid
+        redone = cells = 0
+        for _ in range(3):
+            for render_frame in (render_ascii, render_ppm):
+                redone += len(redone_cells(render_frame, g))
+                cells += g.width * g.height
+            g = step_grid(g)
+        # 52 of 6.3M cells over every variant when this was written
+        assert redone < 0.01 * cells
 
 
 class TestGoldenDigests:
