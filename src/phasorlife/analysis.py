@@ -341,8 +341,6 @@ def sweep_phase(
     stable-to-dead consecutive pair, when exactly one such transition exists.
     """
     x, y = cell
-    if not (0 <= x < g.width and 0 <= y < g.height):
-        raise IndexError(f"sweep cell ({x}, {y}) out of bounds")
     base = g.cell(x, y)
     amp = abs(base.a)
     if amp == 0.0:

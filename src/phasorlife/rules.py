@@ -29,6 +29,8 @@ import numpy as np
 from .state import ZERO_NORM, Boundary, CellState, Grid, normalize
 
 SQRT2_PLUS_1 = math.sqrt(2.0) + 1.0
+# The band core's weights are the table's times these, on A <= 1, (1, 2], (2, 3] and A > 3.
+_REGION_FACTORS = tuple(SQRT2_PLUS_1**-k for k in range(4))
 PHASE_EPS = 1e-12  # below this sum magnitude the phase is defined as 0
 # Summing eight unit phasors can round a few ulps past 8; such sums count as 8.
 A_ROUNDING_SLACK = 8 * math.ulp(8.0)
@@ -49,7 +51,8 @@ class NeighborSum:
     def from_alpha(cls, alpha: complex) -> "NeighborSum":
         alpha = complex(alpha)
         A = abs(alpha)
-        phi = cmath.phase(alpha) if A >= PHASE_EPS else 0.0
+        # not cmath.phase, which raises OverflowError when the angle underflows to 0
+        phi = math.atan2(alpha.imag, alpha.real) if A >= PHASE_EPS else 0.0
         return cls(alpha, A, phi)
 
 
@@ -143,7 +146,7 @@ def step_cell(c: CellState, ns: NeighborSum, canonicalize_dead_phase: bool = Fal
 # threads block on the GIL more than twice as often, for under 5% one-thread gain.
 _BAND_CELLS = 1 << 15
 # Bands each thread must have before a step is shared out: a helper thread is
-# started and builds its own band scratch (4.4 MiB at width 1024) every step,
+# started and builds its own band scratch (4.1 MiB at width 1024) every step,
 # which only pays off on large grids.
 _MIN_BANDS_PER_THREAD = 8
 
@@ -166,9 +169,9 @@ class _BandScratch:
     def __init__(self, rows: int, w: int) -> None:
         self.halo = np.empty((rows + 2, w + 2), dtype=np.complex128)
         self.complex = np.empty((4, rows, w), dtype=np.complex128)  # alpha, unit, raw pair
-        self.real = np.empty((2, rows, w))  # A and a free array, then the raw pair's |.|^2
-        self.weights = np.empty((5, rows, w))  # ``_weights_array``'s outputs and temporaries
-        self.masks = np.empty((5, rows, w), dtype=bool)
+        self.real = np.empty((2, rows, w))  # A and a free array
+        self.weights = np.empty((4, rows, w))  # ``_weights_array``'s, then the raw pair's |.|^2
+        self.mask = np.empty((rows, w), dtype=bool)
 
 
 def _halo_band(coeff: np.ndarray, y0: int, y1: int, torus: bool, halo: np.ndarray) -> np.ndarray:
@@ -187,43 +190,32 @@ def _halo_band(coeff: np.ndarray, y0: int, y1: int, torus: bool, halo: np.ndarra
     return padded
 
 
-def _weights_array(
-    A: np.ndarray, out: np.ndarray, masks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``operator_weights`` elementwise, without its range check; NaN gets all-zero weights.
+def _weights_array(A: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``operator_weights`` elementwise, each scaled by its region's factor; no range check.
 
-    Each weight sums region formulas times 0/1 region masks, with no branch
-    per cell (``np.where`` on a random mask is several times slower). The
-    masks take nine bool passes: five compares on A, and ``np.greater`` of
-    two compares for each blend interval. The formulas are evaluated at
-    ``fmin(A, 4)``, which equals A inside their regions and is finite
-    everywhere, so a masked-out term is a signed zero.
-    A weight is its region's value or +0: the two formulas of ``wB`` or of
-    ``wS`` are never negative at the same A, and ``wD`` ends with its mask.
-    ``out`` (five float arrays shaped like A) and ``masks`` (five bool ones)
-    take the weights and every temporary.
+    Renormalization cancels a factor common to the three weights, so each
+    region's table weights are taken times ``_REGION_FACTORS``: 1 on [0, 1],
+    1/s on (1, 2], 1/s^2 on (2, 3] and 1/s^3 from 3 on, with s = sqrt(2) + 1.
+    Each weight is then one continuous piecewise-linear function of A, with
+    no region mask: survival a hat on [1, 3], birth a hat on [2, 4], death a
+    ramp down over [1, 2] plus a ramp up over [3, 4]. Inside [1, 4] every
+    difference and ``1 - |.|`` is exact, so a weight is +0 exactly where the
+    table's is 0 and integer A still picks one operator.
+    ``fmax`` and ``fmin`` drop a NaN, so a NaN sum gets three +0 weights;
+    an infinite one gets death alone. ``out`` (four float arrays shaped like
+    A) takes the weights and a temporary.
     """
-    wB, wS, wD, a, t = out
-    death, r2, r3, r4, over4 = masks
-    # r2 = (A > 1) > (A > 2) is A in (1, 2], and so on; NaN fails every comparison,
-    # so it is in no region
-    np.greater(np.greater(A, 1.0, out=r2), np.greater(A, 2.0, out=r3), out=r2)
-    np.greater(r3, np.greater(A, 3.0, out=r4), out=r3)
-    np.greater(r4, np.greater_equal(A, 4.0, out=over4), out=r4)
-    np.logical_or(np.less_equal(A, 1.0, out=death), over4, out=death)
-    np.fmin(A, 4.0, out=a)
-    # wB = (a - 2) r3 + SQRT2_PLUS_1 (4 - a) r4
-    np.multiply(np.subtract(a, 2.0, out=wB), r3, out=wB)
-    np.multiply(np.multiply(SQRT2_PLUS_1, np.subtract(4.0, a, out=t), out=t), r4, out=t)
-    np.add(wB, t, out=wB)
-    # wS = (a - 1) r2 + SQRT2_PLUS_1 (3 - a) r3
-    np.multiply(np.subtract(a, 1.0, out=wS), r2, out=wS)
-    np.multiply(np.multiply(SQRT2_PLUS_1, np.subtract(3.0, a, out=t), out=t), r3, out=t)
-    np.add(wS, t, out=wS)
-    # wD = SQRT2_PLUS_1 (2 - a) r2 + (a - 3) r4 + death
-    np.multiply(np.multiply(SQRT2_PLUS_1, np.subtract(2.0, a, out=wD), out=wD), r2, out=wD)
-    np.add(wD, np.multiply(np.subtract(a, 3.0, out=t), r4, out=t), out=wD)
-    np.add(wD, death, out=wD)
+    wB, wS, wD, d = out
+    _, f1, f2, f3 = _REGION_FACTORS
+    np.subtract(A, 3.0, out=d)
+    # wD = min(max(A - 3, 0), 1) / s^3 + min(max(2 - A, 0), 1)
+    np.multiply(np.fmin(np.fmax(d, 0.0, out=wD), 1.0, out=wD), f3, out=wD)
+    # wB = max(1 - |A - 3|, 0) / s^2
+    np.multiply(np.fmax(np.subtract(1.0, np.abs(d, out=wB), out=wB), 0.0, out=wB), f2, out=wB)
+    np.subtract(2.0, A, out=d)
+    np.add(wD, np.fmin(np.fmax(d, 0.0, out=wS), 1.0, out=wS), out=wD)
+    # wS = max(1 - |2 - A|, 0) / s
+    np.multiply(np.fmax(np.subtract(1.0, np.abs(d, out=wS), out=wS), 0.0, out=wS), f1, out=wS)
     return wB, wS, wD
 
 
@@ -247,13 +239,13 @@ def _step_band(
     n = len(live)
     tmp, unit, raw_live, raw_dead = s.complex[:, :n]
     A, f = s.real[:, :n]
-    mask = s.masks[0, :n]
+    mask = s.mask[:n]
     np.abs(alpha, out=A)
     # unit = alpha / A where A >= PHASE_EPS, else 1: the divisor differs from A
     # exactly where A < PHASE_EPS or A is NaN
     np.divide(alpha, np.fmax(A, PHASE_EPS, out=f), out=unit)
     unit[np.not_equal(f, A, out=mask)] = 1.0
-    wB, wS, wD = _weights_array(A, s.weights[:, :n], s.masks[:, :n])
+    wB, wS, wD = _weights_array(A, s.weights[:, :n])
     # raw_live = wB (live + |dead| unit) + wS live
     np.multiply(np.abs(dead, out=f), unit, out=raw_live)
     np.multiply(wB, np.add(live, raw_live, out=raw_live), out=raw_live)
@@ -262,15 +254,19 @@ def _step_band(
     np.multiply(wS, dead, out=raw_dead)
     np.add(np.multiply(np.abs(live, out=f), unit, out=tmp), dead, out=tmp)
     np.add(raw_dead, np.multiply(wD, tmp, out=tmp), out=raw_dead)
-    # norm = sqrt(|raw_live|^2 + |raw_dead|^2), over the raw pair at once
-    pair = s.real[:, :n]
+    # norm = sqrt(|raw_live|^2 + |raw_dead|^2), over the raw pair at once, with A kept
+    pair = s.weights[2:, :n]
     np.square(np.abs(s.complex[2:, :n], out=pair), out=pair)
-    norm = np.add(pair[0], pair[1], out=A)
+    norm = np.add(pair[0], pair[1], out=pair[0])
     np.sqrt(norm, out=norm)
-    # a vanished norm is read as 1 and its cell set to live 0, dead 1
+    # a vanished norm is read as 1 and its cell set to live 0, dead 1. It vanishes as
+    # in the table: below ZERO_NORM times its region factor, which is at most 1, so
+    # only a band with a norm below ZERO_NORM needs the factor
     vanished = np.less(norm, ZERO_NORM, out=mask)
     collapsed = vanished.any()
     if collapsed:
+        factor = np.select([A <= 1.0, A <= 2.0, A <= 3.0], _REGION_FACTORS[:3], _REGION_FACTORS[3])
+        np.less(norm, np.multiply(factor, ZERO_NORM, out=factor), out=vanished)
         np.copyto(norm, 1.0, where=vanished)
     np.divide(raw_live, norm, out=new_live)
     np.divide(raw_dead, norm, out=new_dead)

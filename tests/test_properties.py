@@ -17,6 +17,7 @@ from phasorlife import (
     dual_step_grid,
     lift,
     measure_alive_probability,
+    neighbor_sum,
     normalize,
     parse_pattern,
     project,
@@ -88,6 +89,38 @@ def test_probability_completeness(ra, ia, rb, ib):
 def test_pattern_roundtrip_preserves_a(g):
     doc2 = parse_pattern(serialize_pattern(PatternDocument(grid=g)))
     assert np.max(np.abs(doc2.grid.a - g.a)) < 1e-9
+
+
+# every amp@deg token the format accepts, with its edges: a subnormal and 1 - ulp
+# amplitude, phases 1 ulp inside +-360 and both zeros
+BELOW_360 = math.nextafter(360.0, 0.0)
+token_amps = st.sampled_from([0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0]) | st.floats(0.0, 1.0)
+token_degs = st.sampled_from([BELOW_360, -BELOW_360, 0.0, -0.0]) | st.floats(
+    -360.0, 360.0, exclude_min=True, exclude_max=True
+)
+
+
+@st.composite
+def token_documents(draw, max_side=4):
+    w = draw(st.integers(1, max_side))
+    h = draw(st.integers(1, max_side))
+    tokens = [f"{draw(token_amps)!r}@{draw(token_degs)!r}" for _ in range(w * h)]
+    rows = [" ".join(tokens[y * w : (y + 1) * w]) for y in range(h)]
+    return "\n".join(["version 1", f"size {w} {h}", "boundary torus", "cells", *rows]) + "\n"
+
+
+@settings(deadline=None)
+@given(token_documents())
+def test_token_domain_parses_round_trips_and_steps_like_the_scalar_path(text):
+    g = parse_pattern(text).grid
+    again = parse_pattern(serialize_pattern(PatternDocument(grid=g))).grid
+    assert np.max(np.abs(again.a - g.a)) <= 1e-9
+    stepped = step_grid(g)
+    for y in range(g.height):
+        for x in range(g.width):
+            cell = step_cell(g.cell(x, y), neighbor_sum(g, x, y))
+            assert abs(stepped.a[y, x] - cell.a) <= 1e-12
+            assert abs(stepped.b[y, x] - cell.b) <= 1e-12
 
 
 @settings(deadline=None)

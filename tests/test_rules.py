@@ -105,6 +105,12 @@ class TestNeighborSum:
         ns = NeighborSum.from_alpha(1.5 - 2.2j)
         assert abs(ns.alpha - ns.A * cmath.exp(1j * ns.phi)) < 1e-12
 
+    def test_phase_that_underflows(self):
+        # three neighbors, one with a subnormal imaginary part: the angle rounds to
+        # +0, where cmath.phase raises OverflowError
+        ns = NeighborSum.from_alpha(complex(math.nextafter(3.0, 0.0), 5e-324))
+        assert ns.phi == 0.0 and not math.copysign(1.0, ns.phi) < 0
+
 
 class TestOperatorWeights:
     def test_pure_survival_at_two(self):
@@ -826,8 +832,9 @@ class TestMatchesReference:
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_bands_with_and_without_collapses(self, boundary, cancel):
         g = self.collapse_grid(boundary, cancel)
-        raw_live, raw_dead = reference._mixed_raw(g.a, g.b, reference._alpha_array(g.a, boundary))
-        vanished = np.sqrt(np.abs(raw_live) ** 2 + np.abs(raw_dead) ** 2) < rules.ZERO_NORM
+        raw_live, raw_dead, A = reference._mixed_raw(g.a, g.b, reference._alpha_array(g.a, boundary))
+        norm = np.sqrt(np.abs(raw_live) ** 2 + np.abs(raw_dead) ** 2)
+        vanished = norm < rules.ZERO_NORM * reference._region_factor(A)
         assert not vanished[:2].any()
         assert vanished[2:4].ravel().tolist() == [False] * 9 + [True]
         assert vanished[4:].all()
@@ -843,10 +850,34 @@ class TestMatchesReference:
         edges += [math.nextafter(rules.PHASE_EPS, d) for d in (0.0, 1.0)]
         rng = np.random.default_rng(33)
         A = np.concatenate([edges, rng.uniform(0.0, 8.0, 2000), rng.integers(0, 9, 200)])
-        got = rules._weights_array(A, np.empty((5, len(A))), np.empty((5, len(A)), dtype=bool))
+        got = rules._weights_array(A, np.empty((4, len(A))))
         for w, expected in zip(got, reference._weights_array(A)):
             assert w.tobytes() == expected.tobytes()
-        # a NaN sum gets no operator at all, an infinite one the overcrowding death
-        assert [float(w[edges.index(NAN)]) for w in got] == [0.0, 0.0, 0.0]
-        assert [float(w[edges.index(INF)]) for w in got] == [0.0, 0.0, 1.0]
+        # the table's weights times the region's factor, which renormalization cancels
+        for i, x in enumerate(A.tolist()):
+            if math.isnan(x):
+                continue
+            # past the table's range, the overcrowding death of A = 8
+            x = min(x, 8.0)
+            table = rules.operator_weights(x)
+            factor = rules._REGION_FACTORS[(x > 1.0) + (x > 2.0) + (x > 3.0)]
+            for w, t in zip(got, (table.w_B, table.w_S, table.w_D)):
+                if t == 0.0:
+                    assert w[i] == 0.0 and not math.copysign(1.0, w[i]) < 0
+                else:
+                    assert w[i] == pytest.approx(t * factor, rel=1e-15, abs=0.0)
+        # a NaN sum gets no operator at all, an infinite one the overcrowding death alone
+        assert [w[edges.index(NAN)].tobytes() for w in got] == [np.float64(0.0).tobytes()] * 3
+        assert [float(w[edges.index(INF)]) for w in got] == [0.0, 0.0, rules._REGION_FACTORS[3]]
 
+    @pytest.mark.parametrize("eps,expected", [(5e-9, 1j), (5e-10, 1.0)])
+    def test_collapse_decided_at_the_table_scale(self, eps, expected):
+        # a crowded centre (A = 8) whose death nearly cancels: the table's norm is eps and
+        # the core's eps / s^3, so only a threshold scaled alike renormalizes 5e-9
+        a, b = np.ones((3, 3), complex), np.zeros((3, 3), complex)
+        a[1, 1], b[1, 1] = 1 / SQ2, -1 / SQ2 + eps * 1j
+        g = Grid(a, b, Boundary.FIXED_DEAD)
+        cell = step_cell(g.cell(1, 1), neighbor_sum(g, 1, 1))
+        assert cell.a == 0.0 and abs(cell.b - expected) <= 1e-6
+        for got in (step_grid(g), swap_components(dual_step_grid(swap_components(g)))):
+            assert abs(got.a[1, 1] - cell.a) <= 1e-12 and abs(got.b[1, 1] - cell.b) <= 1e-12
