@@ -69,12 +69,8 @@ class SweepResult:
 
 
 def _touches_border(probs: np.ndarray) -> bool:
-    return bool(
-        (probs[0, :] > BORDER_EPS).any()
-        or (probs[-1, :] > BORDER_EPS).any()
-        or (probs[:, 0] > BORDER_EPS).any()
-        or (probs[:, -1] > BORDER_EPS).any()
-    )
+    edges = np.concatenate((probs[0], probs[-1], probs[:, 0], probs[:, -1]))
+    return bool((edges > BORDER_EPS).any())
 
 
 # Cells per compare temporary: maps or shifted windows are compared in chunks
@@ -84,6 +80,13 @@ _BATCH_CELLS = 1 << 15
 # below which only subnormal intermediates live.
 _GATE_EPS = 2.0**-50
 _GATE_FLOOR = 2.0**-1022
+
+
+def _gate(now, earlier, m: int, tol: float) -> np.ndarray:
+    """Whether computed sums of m cells, now and earlier, can belong to maps
+    within tol cell by cell (see ``_RecurrenceMatcher._stationary``)."""
+    bound = tol * m + m * _GATE_EPS * (now + earlier + tol * m) + _GATE_FLOOR
+    return ~(np.abs(earlier - now) > bound)
 
 
 def _max_diffs(p: np.ndarray, maps: list[np.ndarray]):
@@ -113,7 +116,8 @@ class _RecurrenceMatcher:
     Generation i matches an earlier generation j with offset (0, 0) when
     max|p_i - p_j| <= tol, and otherwise, on a torus only, with the first
     translation ``_translation`` finds; either kind is tried only for pairs
-    that pass one totals gate. The tests compare the same floats as a
+    that pass one totals gate, and an in-place compare only when every row
+    sum passes the same gate too. The tests compare the same floats as a
     pair-at-a-time compare, so verdicts are exact. A translation of (t, j)
     is searched only when (t-1, j-1) can match, and is kept for one
     generation to confirm the next pair.
@@ -122,6 +126,7 @@ class _RecurrenceMatcher:
     def __init__(self, boundary: Boundary, tol: float) -> None:
         self.probs: list[np.ndarray] = []  # one alive-probability map per generation
         self.totals: list[float] = []
+        self.rows: list[np.ndarray] = []  # each map's row sums, for the in-place gate
         self.torus = boundary is Boundary.TORUS
         self.tol = tol
         # newest generation vs each earlier one: in place within tol, totals gate passed
@@ -132,6 +137,7 @@ class _RecurrenceMatcher:
         """Add the next generation's map to the history, without matching it."""
         self.probs.append(p)
         self.totals.append(float(p.sum()))
+        self.rows.append(p.sum(axis=1))
 
     def advance(self, p: np.ndarray) -> tuple[int, tuple[int, int]] | None:
         """Add the next generation's map; return the smallest period (and
@@ -168,28 +174,30 @@ class _RecurrenceMatcher:
     def _stationary(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """max|p_t - p_j| <= tol for each j < t, and whether j passed the totals gate.
 
-        Only the j that pass the gate are compared. With n cells, u = 2**-53
-        and T the computed totals: if every computed |p_t - p_j| is at most
-        tol, with p_j in place or moved on a torus, the exact totals differ by
-        at most n * tol * (1 + u), and a computed sum of n nonnegative terms
-        lies within about n * u of its exact value, relatively, in any
-        summation order. So
+        Only the j whose total and every row sum pass ``_gate`` are compared.
+        With u = 2**-53 and S the computed sums of the same m cells of p_t
+        and p_j: if every computed |p_t - p_j| is at most tol, the exact sums
+        differ by at most m * tol * (1 + u), and a computed sum of m
+        nonnegative terms lies within about m * u of its exact value,
+        relatively, in any summation order. So
 
-            |T_t - T_j| <= n*tol + n*u*(T_t + T_j + n*tol)  (to first order in n*u)
+            |S_t - S_j| <= m*tol + m*u*(S_t + S_j + m*tol)  (to first order in m*u)
 
         holds for every match. The gate admits j when
-        |T_t - T_j| <= n*tol + n*2**-50*(T_t + T_j + n*tol) + 2**-1022: eight
+        |S_t - S_j| <= m*tol + m*2**-50*(S_t + S_j + m*tol) + 2**-1022: eight
         times that rounding allowance, which also absorbs the gate's own few
         roundings, plus a floor for subnormal intermediates. NaN or infinite
-        totals always pass. Passing is necessary for a match, not sufficient.
+        sums always pass. The totals (m = n cells) hold for p_j in place or
+        moved on a torus; a row (m = w) holds the same cells only in place.
+        Passing is necessary for a match, not sufficient.
         """
         p = self.probs[t]
-        n = p.size
+        h, w = p.shape
         totals = np.array(self.totals)
-        earlier = totals[:t]
-        bound = self.tol * n + n * _GATE_EPS * (totals[t] + earlier + self.tol * n) + _GATE_FLOOR
-        gate = ~(np.abs(earlier - totals[t]) > bound)
+        gate = _gate(totals[t], totals[:t], p.size, self.tol)
         candidates = np.flatnonzero(gate)
+        rows = np.array([self.rows[j] for j in candidates.tolist()]).reshape(-1, h)
+        candidates = candidates[_gate(self.rows[t], rows, w, self.tol).all(axis=1)]
         hits = np.zeros(t, dtype=bool)
         for k, diffs in _max_diffs(p, [self.probs[j] for j in candidates]):
             hits[candidates[k : k + diffs.size]] = diffs <= self.tol

@@ -210,6 +210,29 @@ class TestClassify:
         assert len(seen) == 1
         assert report.border_contact and report.verdict == "oscillator"
 
+    def test_touches_border_matches_four_edges(self):
+        # one comparison over the concatenated edges gives the booleans of
+        # four edge tests, also where edges overlap (one row, one column, one
+        # cell) and where a NaN sits on an edge (no contact)
+        eps = analysis.BORDER_EPS
+
+        def four_edges(p):
+            return bool((p[0, :] > eps).any() or (p[-1, :] > eps).any()
+                        or (p[:, 0] > eps).any() or (p[:, -1] > eps).any())
+
+        rng = np.random.default_rng(3)
+        shapes = [(1, 1), (1, 7), (6, 1), (2, 2)] + [tuple(rng.integers(1, 12, 2)) for _ in range(40)]
+        seen = set()
+        for h, w in shapes:
+            for _ in range(10):
+                # mostly dead cells, some at or just above BORDER_EPS, some NaN
+                p = rng.choice([0.0, eps, 2 * eps, 0.5, math.nan], size=(h, w),
+                               p=[0.75, 0.08, 0.05, 0.04, 0.08])
+                touches = analysis._touches_border(p)
+                assert touches is four_edges(p)
+                seen.add(touches)
+        assert seen == {False, True}
+
     @pytest.mark.parametrize("name,value", [
         ("tol", 0.0), ("tol", math.nan), ("tol", math.inf), ("max_gen", 0),
     ])
@@ -269,7 +292,7 @@ class TestMatchesReference:
         # 40 generations: the torus r-pentomino costs the reference ~10 s at 200
         self.assert_same(Grid(g.a, g.b, boundary), max_gen=40, tol=tol)
 
-    @pytest.mark.parametrize("index,max_gen", [(0, 200), (4, 60), (8, 200)])
+    @pytest.mark.parametrize("index,max_gen", [(index, 200) for index in range(9)])
     def test_r_pentomino_sweep_points(self, index, max_gen):
         doc = load_pattern("r_pentomino.sqp")
         base = doc.grid.cell(20, 21)
@@ -505,6 +528,35 @@ class TestMatchesReference:
         assert sum(tested) > 40_000
         assert sum(compared) < 0.01 * sum(tested)
 
+    def test_row_gate_rejects_almost_every_candidate(self):
+        # a row gate that passed what the totals gate admits would lose its
+        # gain: at fate_rpent's sweep point 3, whose total stays within
+        # tol * size while its map changes, the totals gate admits 12,242
+        # earlier maps over 200 generations and 403 are compared in full
+        M = analysis._RecurrenceMatcher
+        stationary, max_diffs = M._stationary, analysis._max_diffs
+        admitted, compared = [], []
+
+        def counting_stationary(matcher, t):
+            hits, gate = stationary(matcher, t)
+            admitted.append(int(gate.sum()))
+            return hits, gate
+
+        def counting(p, maps):
+            compared.append(len(maps))
+            return max_diffs(p, maps)
+
+        grid = load_pattern("r_pentomino.sqp").grid
+        base = grid.cell(20, 21)
+        swept = CellState(abs(base.a) * np.exp(1j * RPENT_PHASES[3]), base.b)
+        with warnings.catch_warnings(), \
+                mock.patch.object(M, "_stationary", counting_stationary), \
+                mock.patch.object(analysis, "_max_diffs", counting):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert classify(grid.with_cell(20, 21, swept)).generations_run == 200
+        assert sum(admitted) > 10_000
+        assert sum(compared) < 0.05 * sum(admitted)
+
     def test_small_torus_glider(self):
         # on a 5x5 torus the period-4 search already reaches the side, and
         # the reported offset is the first of the pair, (-4, -4), not (1, 1)
@@ -537,6 +589,36 @@ class TestMatchesReference:
             slack_needed["moved"] += found is not None and found[1] != (0, 0) and max(
                 abs(totals[2] - totals[0]), abs(totals[3] - totals[1])) > tol * p.size
         assert all(slack_needed.values())
+
+    def test_row_gate_admits_every_match(self):
+        # maps exactly tol apart in every cell: the row sums of a match often
+        # differ by more than tol * width, so only the rounding slack admits them
+        rng = np.random.default_rng(1)
+        slack_needed = 0
+        for _ in range(200):
+            h, w = rng.integers(1, 30, 2)
+            tol = float(rng.choice([1e-6, 1e-3, 0.3]))
+            p = rng.random((h, w)) * rng.choice([1.0, 1e-3])
+            probs = [p + tol, p]
+            stationary, _ = matcher_over(probs, Boundary.FIXED_DEAD, tol)._stationary(1)
+            assert stationary.tolist() == [bool(np.abs(p - probs[0]).max() <= tol)]
+            rows = [m.sum(axis=1) for m in probs]
+            slack_needed += stationary[0] and bool((np.abs(rows[1] - rows[0]) > tol * w).any())
+        assert slack_needed
+        # a row holding a NaN passes the gate and fails the full compare
+        p = rng.random((5, 6))
+        q = p.copy()
+        q[2, 3] = math.nan
+        assert analysis._gate(q.sum(axis=1), p.sum(axis=1)[None], 6, 1e-6).all()
+        max_diffs, compared = analysis._max_diffs, []
+
+        def counting(p, maps):
+            compared.append(len(maps))
+            return max_diffs(p, maps)
+
+        with mock.patch.object(analysis, "_max_diffs", counting):
+            stationary, gate = matcher_over([p, q], Boundary.FIXED_DEAD, 1e-6)._stationary(1)
+        assert (stationary.tolist(), gate.tolist(), compared) == ([False], [True], [1])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(g=soups(), max_gen=st.integers(1, 60), tol=st.sampled_from([1e-6, 1e-3, 0.3]),
