@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
@@ -73,9 +74,6 @@ def _touches_border(probs: np.ndarray) -> bool:
     return bool((edges > BORDER_EPS).any())
 
 
-# Cells per compare temporary: maps or shifted windows are compared in chunks
-# of at most this many cells (and at least one map), whatever the grid size.
-_BATCH_CELLS = 1 << 15
 # Totals gate allowance: 8 units of roundoff (2**-53) per cell, and a floor
 # below which only subnormal intermediates live.
 _GATE_EPS = 2.0**-50
@@ -89,11 +87,9 @@ def _gate(now, earlier, m: int, tol: float) -> np.ndarray:
     return ~(np.abs(earlier - now) > bound)
 
 
-def _max_diffs(p: np.ndarray, maps: list[np.ndarray]):
-    """Yield (start, max over cells of |p - m|) for consecutive chunks of maps."""
-    step = max(1, _BATCH_CELLS // p.size)
-    for k in range(0, len(maps), step):
-        yield k, np.abs(p - np.asarray(maps[k : k + step])).max(axis=(1, 2))
+def _within(p: np.ndarray, m: np.ndarray, tol: float) -> bool:
+    """max over cells of |p - m| <= tol; a NaN in either map fails."""
+    return bool(np.abs(p - m).max() <= tol)
 
 
 def _offsets(h: int, w: int, gap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,10 +113,11 @@ class _RecurrenceMatcher:
     max|p_i - p_j| <= tol, and otherwise, on a torus only, with the first
     translation ``_translation`` finds; either kind is tried only for pairs
     that pass one totals gate, and an in-place compare only when every row
-    sum passes the same gate too. The tests compare the same floats as a
-    pair-at-a-time compare, so verdicts are exact. A translation of (t, j)
-    is searched only when (t-1, j-1) can match, and is kept for one
-    generation to confirm the next pair.
+    sum passes the same gate too. The gates drop only pairs that cannot
+    match, and the maps and windows left are compared one at a time, so
+    verdicts are exact. A translation of (t, j) is searched only when
+    (t-1, j-1) can match, and is kept for one generation to confirm the
+    next pair.
     """
 
     def __init__(self, boundary: Boundary, tol: float) -> None:
@@ -174,7 +171,8 @@ class _RecurrenceMatcher:
     def _stationary(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """max|p_t - p_j| <= tol for each j < t, and whether j passed the totals gate.
 
-        Only the j whose total and every row sum pass ``_gate`` are compared.
+        Only the j whose total and every row sum pass ``_gate`` are compared,
+        one at a time.
         With u = 2**-53 and S the computed sums of the same m cells of p_t
         and p_j: if every computed |p_t - p_j| is at most tol, the exact sums
         differ by at most m * tol * (1 + u), and a computed sum of m
@@ -199,8 +197,8 @@ class _RecurrenceMatcher:
         rows = np.array([self.rows[j] for j in candidates.tolist()]).reshape(-1, h)
         candidates = candidates[_gate(self.rows[t], rows, w, self.tol).all(axis=1)]
         hits = np.zeros(t, dtype=bool)
-        for k, diffs in _max_diffs(p, [self.probs[j] for j in candidates]):
-            hits[candidates[k : k + diffs.size]] = diffs <= self.tol
+        for j in candidates.tolist():
+            hits[j] = _within(p, self.probs[j], self.tol)
         return hits, gate
 
     def _translation(self, i: int, j: int) -> tuple[int, int] | None:
@@ -210,8 +208,8 @@ class _RecurrenceMatcher:
         probe cells of p_i are the cells of the row holding its first maximum
         (a NaN, if any) that are not within tol of 0. One gather per probe
         cell drops the windows that miss it by more than tol, or by a NaN, and
-        so would fail the full compare too. The windows left are compared in
-        bounded chunks, in order.
+        so would fail the full compare too. The windows left are compared one
+        at a time, in order.
         """
         p_now, p_then = self.probs[i], self.probs[j]
         h, w = p_now.shape
@@ -229,11 +227,9 @@ class _RecurrenceMatcher:
             corners = corners[np.abs(row[x] - padded.take(corners + (y0 * width + x))) <= self.tol]
             if not corners.size:
                 return None
-        tops = [divmod(c, width) for c in corners.tolist()]
-        for k, diffs in _max_diffs(p_now, [padded[y : y + h, x : x + w] for y, x in tops]):
-            hit = np.flatnonzero(diffs <= self.tol)
-            if hit.size:
-                y, x = tops[k + int(hit[0])]
+        for c in corners.tolist():
+            y, x = divmod(c, width)
+            if _within(p_now, padded[y : y + h, x : x + w], self.tol):
                 return pad_x - x, pad_y - y
         return None
 
@@ -270,6 +266,7 @@ def classify(
     recurrence period (still life, oscillator, or, on a torus, translation)
     confirmed at two consecutive generations; otherwise unresolved.
     """
+    max_gen = operator.index(max_gen)
     if max_gen < 1:
         raise ValueError("max_gen must be at least 1")
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -383,6 +380,7 @@ def measure_burn_rate(
     BurnRateUnmeasurable when the pattern dies before three frames exist, and
     ValueError when ``max_gen`` leaves fewer than three.
     """
+    max_gen = operator.index(max_gen)
     if max_gen < 2:
         raise ValueError("max_gen must be at least 2")
     _check_dead_threshold(dead_threshold)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 I/O or parse error, 3 check failure
 (oracle-check divergence). All outputs are deterministic; identical
-invocations produce byte-identical files and stdout.
+invocations produce byte-identical files and stdout on one numpy build and
+SIMD dispatch level, since the last bit of some float ops depends on the
+kernel numpy dispatches. CSV digits do not depend on dispatch.
 """
 
 from __future__ import annotations

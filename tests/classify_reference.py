@@ -1,4 +1,4 @@
-"""Pair-at-a-time recurrence matcher, the oracle the batched ``classify`` must equal.
+"""Pair-at-a-time recurrence matcher, the oracle the gated ``classify`` must equal.
 
 This is ``classify`` as it was before the matcher was batched: one numpy pass
 per (generation, earlier generation) pair, a dict cache of pair results, and

@@ -276,7 +276,7 @@ def soups(draw):
 
 
 class TestMatchesReference:
-    """The batched matcher returns the same report as the pair-at-a-time reference."""
+    """The gated matcher returns the same report as the ungated reference."""
 
     @staticmethod
     def assert_same(g, **kwargs):
@@ -298,6 +298,15 @@ class TestMatchesReference:
         base = doc.grid.cell(20, 21)
         cell = CellState(abs(base.a) * np.exp(1j * RPENT_PHASES[index]), base.b)
         self.assert_same(doc.grid.with_cell(20, 21, cell), max_gen=max_gen)
+
+    def test_r_pentomino_sweep_point_on_torus(self):
+        # at sweep point 3 the totals stay within tol * size while the map
+        # changes, so the totals gate admits the most translation searches;
+        # 40 generations: the reference takes ~10 times as long at 60
+        grid = load_pattern("r_pentomino.sqp").grid.with_boundary(Boundary.TORUS)
+        base = grid.cell(20, 21)
+        cell = CellState(abs(base.a) * np.exp(1j * RPENT_PHASES[3]), base.b)
+        self.assert_same(grid.with_cell(20, 21, cell), max_gen=40)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-3])
     @pytest.mark.parametrize("delta", [-1e-4, 1e-6, 1e-4, 1e-3])
@@ -337,12 +346,9 @@ class TestMatchesReference:
             warnings.simplefilter("ignore", RuntimeWarning)
             classify(g)
 
-    @pytest.mark.parametrize("batch_cells", [1, 1000, analysis._BATCH_CELLS])
-    def test_torus_glider(self, batch_cells):
-        # small batches split the window compares of the translation found
+    def test_torus_glider(self):
         g = lifted(20, 20, GLIDER, Boundary.TORUS)
-        with mock.patch.object(analysis, "_BATCH_CELLS", batch_cells):
-            report = classify(g)
+        report = classify(g)
         assert (report.verdict, report.period, report.dx, report.dy) == ("translating", 4, 1, 1)
         assert report == reference_classify(g)
 
@@ -384,25 +390,25 @@ class TestMatchesReference:
 
     @staticmethod
     def assert_same_translation(probs, i, j, tol):
-        """``_translation`` of (i, j) equals the reference, and exactly the
-        candidates whose window agrees with p_i on its probe row reach the
-        full compare, in order. Returns the offset, the candidates and the
-        ones that passed the probe."""
+        """``_translation`` of (i, j) equals the reference, and the candidates
+        whose window agrees with p_i on its probe row reach the full compare,
+        in order, up to the first that matches. Returns the offset, the
+        candidates and the ones that passed the probe."""
         p_now, p_then = probs[i], probs[j]
         tested, compared = [], []
-        offsets, max_diffs = analysis._offsets, analysis._max_diffs
+        offsets, within = analysis._offsets, analysis._within
 
         def block(h, w, gap):
             dxs, dys = offsets(h, w, gap)
             tested.extend(zip(dxs.tolist(), dys.tolist()))
             return dxs, dys
 
-        def counting(p, maps):
-            compared.extend(maps)
-            return max_diffs(p, maps)
+        def counting(p, m, tol):
+            compared.append(m)
+            return within(p, m, tol)
 
         matcher = matcher_over(probs, Boundary.TORUS, tol)
-        with mock.patch.multiple(analysis, _offsets=block, _max_diffs=counting):
+        with mock.patch.multiple(analysis, _offsets=block, _within=counting):
             found = matcher._translation(i, j)
         assert found == reference._find_translation(p_now, p_then, i - j, tol)
         # the probe row holds the first maximum (a NaN, if any); its probes
@@ -415,7 +421,9 @@ class TestMatchesReference:
             if all(abs(row[x] - window(p_then, dx, dy)[y0].tolist()[x]) <= tol
                    for x in probes)
         ]
-        assert len(compared) == len(passed)
+        # the search stops at the first window that matches
+        stop = passed.index(found) + 1 if found is not None else len(passed)
+        assert len(compared) == stop
         for m, (dx, dy) in zip(compared, passed):
             assert np.array_equal(m, window(p_then, dx, dy), equal_nan=True)
         return found, tested, passed
@@ -498,7 +506,7 @@ class TestMatchesReference:
         # candidates, 13 compared), under 1% of the candidates that the
         # translation searches test may reach the full compare
         M = analysis._RecurrenceMatcher
-        offsets, translation, max_diffs = analysis._offsets, M._translation, analysis._max_diffs
+        offsets, translation, within = analysis._offsets, M._translation, analysis._within
         tested, compared, searching = [], [], []
 
         def block(h, w, gap):
@@ -513,20 +521,20 @@ class TestMatchesReference:
             finally:
                 searching.pop()
 
-        def counting(p, maps):
+        def counting(p, m, tol):
             if searching:  # not the stationary compare
-                compared.append(len(maps))
-            return max_diffs(p, maps)
+                compared.append(m)
+            return within(p, m, tol)
 
         grid = load_pattern("r_pentomino.sqp").grid.with_boundary(Boundary.TORUS)
         base = grid.cell(20, 21)
         swept = CellState(abs(base.a) * np.exp(1j * RPENT_PHASES[3]), base.b)
         with mock.patch.object(M, "_translation", search), \
-                mock.patch.multiple(analysis, _offsets=block, _max_diffs=counting):
+                mock.patch.multiple(analysis, _offsets=block, _within=counting):
             for g in (grid, grid.with_cell(20, 21, swept)):
                 assert classify(g, max_gen=50).generations_run == 50
         assert sum(tested) > 40_000
-        assert sum(compared) < 0.01 * sum(tested)
+        assert len(compared) < 0.01 * sum(tested)
 
     def test_row_gate_rejects_almost_every_candidate(self):
         # a row gate that passed what the totals gate admits would lose its
@@ -534,7 +542,7 @@ class TestMatchesReference:
         # tol * size while its map changes, the totals gate admits 12,242
         # earlier maps over 200 generations and 403 are compared in full
         M = analysis._RecurrenceMatcher
-        stationary, max_diffs = M._stationary, analysis._max_diffs
+        stationary, within = M._stationary, analysis._within
         admitted, compared = [], []
 
         def counting_stationary(matcher, t):
@@ -542,20 +550,20 @@ class TestMatchesReference:
             admitted.append(int(gate.sum()))
             return hits, gate
 
-        def counting(p, maps):
-            compared.append(len(maps))
-            return max_diffs(p, maps)
+        def counting(p, m, tol):
+            compared.append(m)
+            return within(p, m, tol)
 
         grid = load_pattern("r_pentomino.sqp").grid
         base = grid.cell(20, 21)
         swept = CellState(abs(base.a) * np.exp(1j * RPENT_PHASES[3]), base.b)
         with warnings.catch_warnings(), \
                 mock.patch.object(M, "_stationary", counting_stationary), \
-                mock.patch.object(analysis, "_max_diffs", counting):
+                mock.patch.object(analysis, "_within", counting):
             warnings.simplefilter("ignore", RuntimeWarning)
             assert classify(grid.with_cell(20, 21, swept)).generations_run == 200
         assert sum(admitted) > 10_000
-        assert sum(compared) < 0.05 * sum(admitted)
+        assert len(compared) < 0.05 * sum(admitted)
 
     def test_small_torus_glider(self):
         # on a 5x5 torus the period-4 search already reaches the side, and
@@ -610,23 +618,27 @@ class TestMatchesReference:
         q = p.copy()
         q[2, 3] = math.nan
         assert analysis._gate(q.sum(axis=1), p.sum(axis=1)[None], 6, 1e-6).all()
-        max_diffs, compared = analysis._max_diffs, []
-
-        def counting(p, maps):
-            compared.append(len(maps))
-            return max_diffs(p, maps)
-
-        with mock.patch.object(analysis, "_max_diffs", counting):
+        with mock.patch.object(analysis, "_within", wraps=analysis._within) as within:
             stationary, gate = matcher_over([p, q], Boundary.FIXED_DEAD, 1e-6)._stationary(1)
-        assert (stationary.tolist(), gate.tolist(), compared) == ([False], [True], [1])
+        assert (stationary.tolist(), gate.tolist(), within.call_count) == ([False], [True], 1)
+
+    def test_within_is_inclusive_and_fails_nan(self):
+        # maps exactly tol apart match; a NaN in either map matches nothing
+        p = np.array([[0.25, 0.5], [0.75, 1.0]])
+        tol = 0.125  # every difference below is exact in binary
+        assert analysis._within(p, p + tol, tol)
+        assert analysis._within(p + tol, p, tol)
+        assert not analysis._within(p, p + 2 * tol, tol)
+        q = p.copy()
+        q[1, 0] = math.nan
+        assert not analysis._within(p, q, tol)
+        assert not analysis._within(q, p, tol)
+        assert not analysis._within(q, q, tol)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(g=soups(), max_gen=st.integers(1, 60), tol=st.sampled_from([1e-6, 1e-3, 0.3]),
-           batch_cells=st.integers(1, 600))
-    def test_random_soups(self, g, max_gen, tol, batch_cells):
-        # small batches split both the map compares and the window compares
-        with mock.patch.object(analysis, "_BATCH_CELLS", batch_cells):
-            self.assert_same(g, max_gen=max_gen, tol=tol)
+    @given(g=soups(), max_gen=st.integers(1, 60), tol=st.sampled_from([1e-6, 1e-3, 0.3]))
+    def test_random_soups(self, g, max_gen, tol):
+        self.assert_same(g, max_gen=max_gen, tol=tol)
 
 
 class TestSweepPhase:
@@ -724,6 +736,22 @@ class TestGenerationLoop:
             report = classify(load_pattern(name).grid, max_gen=max_gen)
         assert report.verdict == verdict
         assert step.call_count == report.generations_run
+
+    @pytest.mark.parametrize("call", [
+        lambda g: classify(g, max_gen=2.5),
+        lambda g: measure_burn_rate(g, max_gen=3.5),
+    ], ids=["classify", "measure_burn_rate"])
+    def test_non_integral_max_gen_rejected_before_any_step(self, call):
+        # boundary_line read as fixed has live amplitude on the border, which
+        # classify reports as soon as it looks at generation 0
+        g = load_pattern("boundary_line.sqp").grid.with_boundary(Boundary.FIXED_DEAD)
+        with warnings.catch_warnings(), \
+                mock.patch.object(analysis, "evolve", wraps=analysis.evolve) as evolve, \
+                mock.patch.object(analysis, "step_grid", wraps=analysis.step_grid) as step:
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError):
+                call(g)
+        assert evolve.call_count == step.call_count == 0
 
 
 class TestBurnRate:
