@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -29,13 +30,16 @@ _BLOCK_CELLS = 1 << 14
 # Code points indexed by octant (0-7 strong, 8-15 faint) or 16 for a dead cell.
 _GLYPH_CODES = np.array([ord(ch) for ch in STRONG_ARROWS + FAINT_ARROWS + "."], dtype="<u4")
 
-# Source of each (r, g, b) channel in each hue sextant: 0 -> 0.0, 1 -> v,
-# 2 -> q = v * (1 - f), 3 -> t = v * f.
-_SEXTANT_CHANNELS = np.array(
-    [[1, 3, 0], [2, 1, 0], [0, 1, 3], [0, 2, 1], [3, 0, 1], [1, 0, 2]], dtype=np.intp
+# Source of each (r, g, b) channel in each hue sextant (a row of the literal): byte
+# 0 -> 0, 1 -> v, 2 -> q = v * (1 - f), 3 -> t = v * f of a cell's little-endian source
+# word. Stored by channel, as the bit offset of that byte. Sextant 6 is h = 6.0, the
+# 0/360 wrap, and repeats sextant 0.
+_CHANNEL_SHIFTS = np.ascontiguousarray(
+    8 * np.array([[1, 3, 0], [2, 1, 0], [0, 1, 3], [0, 2, 1], [3, 0, 1], [1, 0, 2], [1, 3, 0]],
+                 dtype=np.uint32).T
 )
 
-_CSV_HEADER = b"x,y,re_a,im_a,re_b,im_b,p_alive\n"
+_CSV_HEADER = "x,y,re_a,im_a,re_b,im_b,p_alive\n"
 
 # Bytes per formatted CSV value, the widest '%.17g' of a double: "-2.2250738585072014e-308".
 # A value's characters may sit anywhere in its slot; the NUL bytes around them are dropped.
@@ -158,15 +162,27 @@ def render_ascii(g: Grid) -> str:
 
 def _hsv_bytes(phase: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(r, g, b) of each cell, and the lit cells near a sextant or channel rounding edge."""
-    h = np.degrees(phase) % 360.0 / 60.0
+    # degrees of an atan2 lie in [-180, 180], where Python's d % 360.0 is d + 360.0 below
+    # 0 and d otherwise (-0.0 stays -0.0, which gives the same bytes)
+    h = np.degrees(phase)
+    h += 360.0 * (h < 0.0)
+    h /= 60.0
     sextant = np.floor(h)
     f = h - sextant
-    # 255 times each source; v == 0 zeroes all four, so dead cells come out black
-    sources = 255 * np.stack([np.zeros_like(v), v, v * (1.0 - f), v * f], axis=-1)
-    channels = _SEXTANT_CHANNELS[sextant.astype(np.intp) % 6]
-    rgb = np.rint(np.take_along_axis(sources, channels, axis=-1)).astype(np.uint8)
+    q, t = 255.0 * (v * (1.0 - f)), 255.0 * (v * f)
+    # each source rounded to a byte once, bytes 0-3 of a cell's word: 0, 255 v, q and t;
+    # v == 0 zeroes all four, so dead cells come out black
+    sources = np.zeros(v.shape + (4,), dtype=np.uint8)
+    for i, x in ((1, 255.0 * v), (2, q), (3, t)):
+        np.rint(x, out=sources[..., i], casting="unsafe")
+    words = sources.view("<u4")[..., 0]
+    s = sextant.astype(np.intp)
+    rgb = np.empty(v.shape + (3,), dtype=np.uint8)
+    for c, shifts in enumerate(_CHANNEL_SHIFTS):
+        # the cast to uint8 keeps the low byte, the one the shift brings the source to
+        np.right_shift(words, shifts[s], out=rgb[..., c], casting="unsafe")
     # h = 0 and h = 6 are both the 0/360 wrap
-    edge = _near(h, 0.0, 6.0) | _near(sources[..., 2:], 0.5, 255.0).any(axis=-1)
+    edge = _near(h, 0.0, 6.0) | _near(q, 0.5, 255.0) | _near(t, 0.5, 255.0)
     return rgb, edge & (v > 0.0)
 
 
@@ -179,6 +195,8 @@ def render_ppm(g: Grid, cell_pixel_size: int = 1) -> bytes:
     # a float would reach the PPM header as "2.5", and True would pass as 1
     if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
         raise ValueError(f"cell_pixel_size must be a positive integer, got {size!r}")
+    # a numpy integer would multiply into the header in its own width: np.uint8(3) wraps
+    size = operator.index(size)
     parts = [f"P6\n{g.width * size} {g.height * size}\n255\n".encode("ascii")]
     for rows in _row_blocks(g, _BLOCK_CELLS):
         a = g.a[rows]
@@ -216,11 +234,10 @@ def _format_slots(values: np.ndarray, out: np.ndarray) -> None:
     """
     out.fill(0)
     mag = np.abs(values)
-    spelled = mag == 0.0
-    out[spelled, 1] = ord("0")
     one = mag == 1.0
-    out[one, 1] = ord("1")
-    spelled |= one
+    spelled = one | (mag == 0.0)
+    # bytes 0-7 of every slot as one little-endian word: byte 1 is '0', or '1' for a one
+    heads = (spelled * np.uint64(ord("0")) + one) << np.uint64(8)
 
     # the digit count below is what checks log10's guess at the exponent
     fixed = np.flatnonzero((mag >= 9e-5) & (mag < 10.0) & ~one)
@@ -244,16 +261,15 @@ def _format_slots(values: np.ndarray, out: np.ndarray) -> None:
     head -= d0 * 1e8
     c1, c3 = np.floor(head / 1e4), np.floor(tail / 1e4)
     chunks = (c1, head - c1 * 1e4, c3, tail - c3 * 1e4)
-    slots = np.empty((len(fixed), _SLOT), dtype=np.uint8)
-    quads = slots.view("<u4")
+    quads = out.view("<u4")
     # a chunk loses its trailing zeros when every chunk after it is zero
     zero_after = np.ones(len(fixed), dtype=bool)
     for i in (3, 2, 1, 0):
-        quads[:, 2 + i] = _QUADS[chunks[i].astype(np.intp) + zero_after * 10_000]
+        quads[fixed, 2 + i] = _QUADS[chunks[i].astype(np.intp) + zero_after * 10_000]
         zero_after &= chunks[i] == 0
-    slots.view("<u8")[:, 0] = _FIXED_HEADS[(d0.astype(np.intp) - 10 * exp10) * 2 + zero_after]
-    out[fixed] = slots
-    out[np.signbit(values), 0] = ord("-")
+    heads[fixed] = _FIXED_HEADS[(d0.astype(np.intp) - 10 * exp10) * 2 + zero_after]
+    heads |= np.signbit(values) * np.uint64(ord("-"))
+    out.view("<u8")[:, 0] = heads
 
     rest = np.flatnonzero(~spelled)
     if rest.size:
@@ -273,9 +289,10 @@ def render_csv(g: Grid) -> str:
     the x and y digits, then five comma-led value slots, then a newline.
     Dropping the matrix's NUL padding leaves the block's text.
     """
-    # a CSV block's byte matrix takes about 130 bytes per cell: at 1024 cells a 256x256
-    # frame's text and its str copy, not the block buffers, set the peak RSS
-    blocks = _row_blocks(g, _BLOCK_CELLS // 16)
+    # a CSV block's byte matrix takes about 130 bytes per cell: at 4096 cells a 256x256
+    # frame's text, held twice at the join, sets the peak RSS, not the block buffers. The
+    # text is one str per block: a bytearray grown block by block peaked 1-3 MiB higher
+    blocks = _row_blocks(g, _BLOCK_CELLS // 4)
     xs, ys = _decimal_fields(g.width), _decimal_fields(g.height)
     values_at = xs.shape[1] + 1 + ys.shape[1]
     lines = np.zeros(
@@ -287,8 +304,7 @@ def render_csv(g: Grid) -> str:
     fields[..., 0] = ord(",")
     lines[..., -1] = ord("\n")
     slots = np.empty((lines.shape[0] * g.width * 5, _SLOT), dtype=np.uint8)
-    keep = np.empty(lines.shape, dtype=bool)
-    text = bytearray(_CSV_HEADER)
+    parts = [_CSV_HEADER]
     for rows in blocks:
         a, b = g.a[rows], g.b[rows]
         values = np.stack([a.real, a.imag, b.real, b.imag, _squared(_amplitude(a))], axis=-1)
@@ -297,10 +313,7 @@ def render_csv(g: Grid) -> str:
         n = rows.stop - rows.start
         fields[:n, ..., 1:] = block_slots.reshape(values.shape + (_SLOT,))
         lines[:n, :, xs.shape[1] + 1 : values_at] = ys[rows, None]
-        block, block_keep = lines[:n], keep[:n]
-        np.not_equal(block, 0, out=block_keep)
-        # a boolean mask, not np.compress: that builds an 8-byte index per byte kept
-        text += memoryview(block.ravel()[block_keep.ravel()])
-    # the text and its str copy are the peak: hold no block buffer beside them
-    del lines, fields, slots, keep, block, block_keep
-    return text.decode("ascii")
+        parts.append(lines[:n].tobytes().translate(None, b"\0").decode("ascii"))
+    # the parts and their joined copy are the peak: hold no block buffer beside them
+    del lines, fields, slots, block_slots, values
+    return "".join(parts)

@@ -29,6 +29,7 @@ from phasorlife import (
 from conftest import load_pattern
 from render_reference import (
     DIGESTS_PATH,
+    _hsv_bytes as ref_hsv_bytes,
     frame_digests,
     ref_render_ascii,
     ref_render_csv,
@@ -105,6 +106,36 @@ class TestPpm:
         ppm = render_ppm(g, np.int64(3))
         assert ppm == render_ppm(g, 3)
         assert ppm.startswith(b"P6\n%d %d\n255\n" % (3 * g.width, 3 * g.height))
+
+    def test_narrow_numpy_integer_pixel_size(self):
+        # in uint8, 100 * 3 wraps to 44 in the header while the pixels are 300 wide
+        g = Grid.dead(100, 2)
+        assert render_ppm(g, np.uint8(3)) == render_ppm(g, 3)
+        assert render_ppm(g, np.uint8(3)).startswith(b"P6\n300 6\n255\n")
+
+    def test_numpy_integer_pixel_size_wider_than_its_type(self):
+        # a width of 256 does not fit in uint8 either
+        g = Grid.dead(256, 1)
+        assert render_ppm(g, np.uint8(1)) == render_ppm(g, 1)
+
+
+class TestHsvBytes:
+    """``render._hsv_bytes`` picks every cell's bytes as the per-cell reference does."""
+
+    def test_matches_reference_cell_by_cell(self):
+        rng = np.random.default_rng(30)
+        phases = [0.0, math.pi, 5e-324, 1e-17]  # at -1e-17, d + 360 rounds to 360.0
+        for k in range(-3, 4):
+            phases += _ulps_around(k * math.pi / 3, 4)
+        phases += rng.uniform(-math.pi, math.pi, 200).tolist()
+        phases += [-p for p in phases]
+        values = [0.0, 5e-324, 1e-300, 0.25, 0.5, math.nextafter(1.0, 0.0), 1.0]
+        values += rng.random(100).tolist()
+        phase, v = (np.array(x, dtype=np.float64) for x in np.meshgrid(phases, values))
+        rgb, edge = render._hsv_bytes(phase, v)
+        assert rgb.shape == phase.shape + (3,) and edge.shape == phase.shape
+        want = [ref_hsv_bytes(p, x) for p, x in zip(phase.ravel().tolist(), v.ravel().tolist())]
+        assert rgb.reshape(-1, 3).tolist() == [list(c) for c in want]
 
 
 class TestCsv:
@@ -198,8 +229,9 @@ class TestCsvRefusedCells:
 
     SPECIAL = [math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1e-5, -9.5e-5, 12.5, -1e15]
 
-    # CSV blocks take a sixteenth of _BLOCK_CELLS: 16 * 14 gives two 7-cell rows and a short last block
-    @pytest.mark.parametrize("block_cells", [1, 10, 16 * 14, render._BLOCK_CELLS])
+    # CSV blocks take a quarter of _BLOCK_CELLS: on these 16 rows of 7 cells, 4 * 14 gives
+    # blocks of two rows, and 4 * 21 blocks of three with a short last block
+    @pytest.mark.parametrize("block_cells", [1, 10, 4 * 14, 4 * 21, render._BLOCK_CELLS])
     def test_matches_reference(self, block_cells):
         cells = [complex(re, im) for re in self.SPECIAL + [0.25, -1.0] for im in self.SPECIAL + [0.0]]
         g = adopted_grid(cells, 7)
@@ -347,8 +379,8 @@ class TestMatchesReference:
     @given(
         g=coefficient_grids(),
         # 1 to 20 cells split the ascii and ppm grids into row blocks; CSV blocks are a
-        # sixteenth as large, so multiples of 16 also give CSV blocks of several rows
-        block_cells=st.integers(1, 20) | st.integers(2, 40).map(lambda k: 16 * k),
+        # quarter as large, so multiples of 4 also give CSV blocks of several rows
+        block_cells=st.integers(1, 20) | st.integers(2, 40).map(lambda k: 4 * k),
         size=st.integers(1, 4),
     )
     def test_random_grids(self, g, block_cells, size):
