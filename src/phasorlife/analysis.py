@@ -120,10 +120,12 @@ class _RecurrenceMatcher:
     next pair.
     """
 
-    def __init__(self, boundary: Boundary, tol: float) -> None:
+    def __init__(self, boundary: Boundary, tol: float, size: int) -> None:
         self.probs: list[np.ndarray] = []  # one alive-probability map per generation
-        self.totals: list[float] = []
-        self.rows: list[np.ndarray] = []  # each map's row sums, for the in-place gate
+        # each map's total and row sums (for the in-place gate), for up to size maps;
+        # the rows are sized by the first map
+        self.totals = np.empty(size)
+        self.rows = np.empty((size, 0))
         self.torus = boundary is Boundary.TORUS
         self.tol = tol
         # newest generation vs each earlier one: in place within tol, totals gate passed
@@ -132,9 +134,16 @@ class _RecurrenceMatcher:
 
     def append(self, p: np.ndarray) -> None:
         """Add the next generation's map to the history, without matching it."""
+        t = len(self.probs)
+        if not t:
+            self.rows = np.empty((len(self.totals), len(p)))
         self.probs.append(p)
-        self.totals.append(float(p.sum()))
-        self.rows.append(p.sum(axis=1))
+        self.totals[t] = p.sum()
+        self.rows[t] = p.sum(axis=1)
+
+    def history(self) -> tuple[float, ...]:
+        """Each map's total, in generation order."""
+        return tuple(self.totals[: len(self.probs)].tolist())
 
     def advance(self, p: np.ndarray) -> tuple[int, tuple[int, int]] | None:
         """Add the next generation's map; return the smallest period (and
@@ -190,12 +199,10 @@ class _RecurrenceMatcher:
         Passing is necessary for a match, not sufficient.
         """
         p = self.probs[t]
-        h, w = p.shape
-        totals = np.array(self.totals)
-        gate = _gate(totals[t], totals[:t], p.size, self.tol)
+        gate = _gate(self.totals[t], self.totals[:t], p.size, self.tol)
         candidates = np.flatnonzero(gate)
-        rows = np.array([self.rows[j] for j in candidates.tolist()]).reshape(-1, h)
-        candidates = candidates[_gate(self.rows[t], rows, w, self.tol).all(axis=1)]
+        in_place = _gate(self.rows[t], self.rows[candidates], p.shape[1], self.tol)
+        candidates = candidates[in_place.all(axis=1)]
         hits = np.zeros(t, dtype=bool)
         for j in candidates.tolist():
             hits[j] = _within(p, self.probs[j], self.tol)
@@ -275,14 +282,14 @@ def classify(
 
     fixed = g0.boundary is Boundary.FIXED_DEAD
     border = False
-    matcher = _RecurrenceMatcher(g0.boundary, tol)
+    matcher = _RecurrenceMatcher(g0.boundary, tol, max_gen + 1)
 
     def report(verdict: str, t: int, **extra) -> FateReport:
         return FateReport(
             verdict=verdict,
             generations_run=t,
             max_alive_probability_final=float(matcher.probs[-1].max()),
-            alive_probability_history=tuple(matcher.totals),
+            alive_probability_history=matcher.history(),
             border_contact=border,
             **extra,
         )

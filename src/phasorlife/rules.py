@@ -140,10 +140,12 @@ def step_cell(c: CellState, ns: NeighborSum, canonicalize_dead_phase: bool = Fal
     return out
 
 
-# Cells per row band of the stepping core: a band's scratch stays in cache.
-# Every numpy call on a band releases the GIL, and a waiting thread only gets
-# it if it wakes before the holder's next call returns; at half this size, two
-# threads block on the GIL more than twice as often, for under 5% one-thread gain.
+# Cells per row band of the stepping core. The size trades one thread's speed
+# for sharing: a width-1024 band's scratch (4.1 MiB) is twice a 2 MiB per-core L2,
+# and at 1 << 13 cells (1.1 MiB) one CPU steps a 1024x1024 grid in 58.7 ms
+# against 61.7 ms, but two threads take 64.4 ms against 38.6 ms (2-vCPU Xeon).
+# Every numpy call on a band releases the GIL, and a waiting thread only gets it
+# if it wakes before the holder's next call returns, so small bands block on it.
 _BAND_CELLS = 1 << 15
 # Bands each thread must have before a step is shared out: a helper thread is
 # started and builds its own band scratch (4.1 MiB at width 1024) every step,
@@ -168,7 +170,8 @@ class _BandScratch:
 
     def __init__(self, rows: int, w: int) -> None:
         self.halo = np.empty((rows + 2, w + 2), dtype=np.complex128)
-        self.complex = np.empty((4, rows, w), dtype=np.complex128)  # alpha, unit, raw pair
+        # alpha, unit, raw pair; the last three first hold the pitched neighbor sum
+        self.complex = np.empty((4, rows, w), dtype=np.complex128)
         self.real = np.empty((2, rows, w))  # A and a free array
         self.weights = np.empty((4, rows, w))  # ``_weights_array``'s, then the raw pair's |.|^2
         self.mask = np.empty((rows, w), dtype=bool)
@@ -219,6 +222,28 @@ def _weights_array(A: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return wB, wS, wD
 
 
+def _divide(
+    raws: tuple[np.ndarray, ...], norm: np.ndarray, recip: np.ndarray, outs: tuple[np.ndarray, ...]
+) -> None:
+    """Write each of ``raws`` over the real ``norm`` to ``outs``, as ``np.divide`` does.
+
+    numpy divides a complex by a real d as (re + im*0) * (1/d) and
+    (im - re*0) * (1/d); the product by (1/d, -0) rounds the same, signed
+    zeros, NaN and inf included, unless a nonzero part underflows to 0, which
+    needs 1/d <= 1/2. A normalized cell's norm is below 1.83, so only a NaN
+    or larger norm is left to the slower divide. ``recip`` is a complex
+    buffer shaped like ``norm``.
+    """
+    if norm.max() < 2.0:
+        np.divide(1.0, norm, out=recip.real)
+        recip.imag = -0.0
+        for raw, out in zip(raws, outs):
+            np.multiply(raw, recip, out=out)
+    else:
+        for raw, out in zip(raws, outs):
+            np.divide(raw, norm, out=out)
+
+
 def _step_band(
     live: np.ndarray,
     dead: np.ndarray,
@@ -230,7 +255,8 @@ def _step_band(
     """Write the next (live, dead) coefficients of a band whose live neighbors sum to ``alpha``.
 
     Mix, then renormalize; total cancellation gives live 0, dead 1. Every
-    temporary is one of ``s``'s buffers, ``alpha`` (itself one) included.
+    temporary is one of ``s``'s buffers, ``alpha`` (itself one, and the
+    reciprocal norm's at the end) included.
     No pass is spent on a fix-up that changes nothing: the unit phasor's
     divisor is ``fmax(A, PHASE_EPS)``, the norm is taken over the stacked raw
     pair at once, and the vanished-norm fix-ups run only in a band that has
@@ -268,8 +294,7 @@ def _step_band(
         factor = np.select([A <= 1.0, A <= 2.0, A <= 3.0], _REGION_FACTORS[:3], _REGION_FACTORS[3])
         np.less(norm, np.multiply(factor, ZERO_NORM, out=factor), out=vanished)
         np.copyto(norm, 1.0, where=vanished)
-    np.divide(raw_live, norm, out=new_live)
-    np.divide(raw_dead, norm, out=new_dead)
+    _divide((raw_live, raw_dead), norm, tmp, (new_live, new_dead))
     if collapsed:
         np.copyto(new_live, 0.0, where=vanished)
         np.copyto(new_dead, 1.0, where=vanished)
@@ -301,13 +326,22 @@ def _step_arrays(
         s = _BandScratch(rows, w)
         for y0, y1 in queue:
             n = y1 - y0
-            padded = _halo_band(live, y0, y1, torus, s.halo)
-            alpha = s.complex[0, :n]
-            views = (padded[1 + dy : n + 1 + dy, 1 + dx : 1 + dx + w] for dx, dy in _OFFSETS)
+            flat = _halo_band(live, y0, y1, torus, s.halo).reshape(-1)
+            # Sum over the flat halo of pitch w + 2: cell (y, x) of the pitched sum is
+            # flat[y * pitch + x] and its neighbor (dx, dy) sits (1 + dy) * pitch + 1 + dx
+            # further on. Each row's last two sums are junk and the last row's are not
+            # taken, so the (1, 1) slice ends on the band halo's last element.
+            pitch, size = w + 2, n * (w + 2) - 2
+            pitched = s.complex[1:].reshape(-1)  # unit and the raw pair, free until the mix
+            acc = pitched[:size]
+            starts = ((1 + dy) * pitch + 1 + dx for dx, dy in _OFFSETS)
             # 0 + x as the scalar sum has it: a -0 part of the first neighbor reads +0
-            np.add(next(views), 0.0, out=alpha)
-            for view in views:
-                alpha += view
+            start = next(starts)
+            np.add(flat[start : start + size], 0.0, out=acc)
+            for start in starts:
+                acc += flat[start : start + size]
+            alpha = s.complex[0, :n]
+            np.copyto(alpha, pitched[: n * pitch].reshape(n, pitch)[:, :w])
             _step_band(live[y0:y1], dead[y0:y1], alpha, s, new_live[y0:y1], new_dead[y0:y1])
             if canonicalize_dead_phase:
                 np.copyto(new_dead[y0:y1], np.abs(new_dead[y0:y1], out=s.real[1, :n]))

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from phasorlife import Grid, PatternDocument, parse_pattern, rules
 
-PATTERNS_DIR = Path(__file__).resolve().parent.parent / "patterns"
+TESTS_DIR = Path(__file__).resolve().parent
+PATTERNS_DIR = TESTS_DIR.parent / "patterns"
 
 
 def load_pattern(name: str) -> PatternDocument:
@@ -40,3 +46,38 @@ def random_grid(rng: np.random.Generator, width: int, height: int, boundary=None
     if boundary is None:
         boundary = Boundary.FIXED_DEAD
     return Grid(a, b, boundary)
+
+
+def dispatch_targets() -> list[str]:
+    """numpy's SIMD dispatch targets that are on in this process."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+
+
+def run_dispatch_child(code: str, disabled: list[str]) -> dict:
+    """The JSON object ``code`` prints in a child process with numpy's ``disabled``
+    dispatch targets turned off; the child imports ``phasorlife`` from this source
+    tree, and can import this directory's modules."""
+    paths = [str(TESTS_DIR.parent / "src"), str(TESTS_DIR), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def native_and_baseline(code: str) -> tuple[dict, dict]:
+    """``run_dispatch_child(code, ...)`` with every dispatch target on, then with
+    every one off; ``code`` reports ``dispatch_targets()`` as ``on``."""
+    targets = dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no kernels beyond its baseline on this host")
+    native, baseline = run_dispatch_child(code, []), run_dispatch_child(code, targets)
+    # numpy ignores a name it cannot disable, so check that every target went off
+    assert native["on"] == targets
+    assert baseline["on"] == []
+    return native, baseline

@@ -38,7 +38,7 @@ def lifted(width, height, live, boundary=Boundary.FIXED_DEAD):
 
 def matcher_over(probs, boundary, tol):
     """A matcher whose history holds these maps, none of them matched yet."""
-    matcher = analysis._RecurrenceMatcher(boundary, tol)
+    matcher = analysis._RecurrenceMatcher(boundary, tol, len(probs))
     for p in probs:
         matcher.append(p)
     return matcher
@@ -591,7 +591,7 @@ class TestMatchesReference:
             # two unrelated maps, each moved by (1, 1): a period-2 translation
             probs = [p, q, window(p, 1, 1) + tol, window(q, 1, 1) + tol]
             totals = [float(m.sum()) for m in probs]
-            matcher = analysis._RecurrenceMatcher(Boundary.TORUS, tol)
+            matcher = analysis._RecurrenceMatcher(Boundary.TORUS, tol, len(probs))
             found = [matcher.advance(m) for m in probs][-1]
             assert found == first_confirmed(probs, tol)
             slack_needed["moved"] += found is not None and found[1] != (0, 0) and max(

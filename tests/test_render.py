@@ -4,9 +4,6 @@ import cmath
 import importlib.util
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -26,7 +23,7 @@ from phasorlife import (
     render_ppm,
     step_grid,
 )
-from conftest import load_pattern
+from conftest import load_pattern, native_and_baseline
 from render_reference import (
     DIGESTS_PATH,
     _hsv_bytes as ref_hsv_bytes,
@@ -242,14 +239,11 @@ class TestCsvRefusedCells:
 # Renders a CSV grid of random doubles and an ascii and ppm grid across the octant and
 # sextant edges, reporting the dispatch targets still on and each frame's sha256.
 _DISPATCH_CHILD = """
-import hashlib, json, math, sys
+import hashlib, json, math
 import numpy as np
 from phasorlife import Grid, render_ascii, render_csv, render_ppm
 from phasorlife.state import Boundary
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_features__
+from conftest import dispatch_targets
 rng = np.random.default_rng(64)
 shape = (48, 48)
 # exact powers of ten from Python's own arithmetic: every exponent, from %-written to digit-written
@@ -265,41 +259,14 @@ a = np.array([r * complex(math.cos(p), math.sin(p)) for r, p in zip(amps, phases
 edges = Grid(a, np.zeros_like(a))
 frames = {"csv": render_csv(g).encode(), "ascii": render_ascii(edges).encode(),
           "ppm": render_ppm(edges, 2)}
-on = [t for t in sys.argv[1:] if __cpu_features__.get(t)]
-print(json.dumps({"on": on, "sha256": {k: hashlib.sha256(v).hexdigest() for k, v in frames.items()}}))
+print(json.dumps({"on": dispatch_targets(),
+                  "sha256": {k: hashlib.sha256(v).hexdigest() for k, v in frames.items()}}))
 """
-
-
-def _dispatch_targets() -> list[str]:
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    return [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
-
-
-def _run_dispatch_child(targets: list[str], disabled: str) -> dict:
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    if disabled:
-        env["NPY_DISABLE_CPU_FEATURES"] = disabled
-    proc = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD, *targets], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
 
 
 class TestCsvDispatch:
     def test_bytes_do_not_depend_on_simd_dispatch(self):
-        targets = _dispatch_targets()
-        if not targets:
-            pytest.skip("numpy dispatches no kernels beyond its baseline on this host")
-        native = _run_dispatch_child(targets, "")
-        baseline = _run_dispatch_child(targets, " ".join(targets))
-        # numpy ignores a name it cannot disable, so check that every target went off
-        assert native["on"] == targets
-        assert baseline["on"] == []
+        native, baseline = native_and_baseline(_DISPATCH_CHILD)
         assert baseline["sha256"] == native["sha256"]
 
 

@@ -35,7 +35,7 @@ from phasorlife import (
     step_grid,
     swap_components,
 )
-from conftest import random_grid, step_on_cpus
+from conftest import native_and_baseline, random_grid, step_on_cpus
 import step_reference as reference
 
 SQ2 = math.sqrt(2.0)
@@ -444,7 +444,12 @@ class TestBandScratch:
     """Each thread steps its bands in one scratch built per step, allocating nothing per band."""
 
     def test_one_step_allocates_its_outputs_and_one_scratch(self):
-        # 2, 8 and 32 bands of 32 rows at width 1024, all on the calling thread
+        # 2, 8 and 32 bands of 32 rows at width 1024, all on the calling thread. The
+        # pitched neighbor sum and the reciprocal norm reuse the band planes, so the
+        # scratch stays within 4.1 MiB, and a step's peak within that plus numpy's
+        # 128 KiB cast buffer, less than one more 256 KiB float plane
+        s = rules._BandScratch(32, 1024)
+        assert sum(a.nbytes for a in vars(s).values()) <= 4.1 * (1 << 20)
         extra = []
         for h in (64, 256, 1024):
             live = np.random.default_rng(h).random((h, 1024)) < 0.35
@@ -456,7 +461,7 @@ class TestBandScratch:
             finally:
                 tracemalloc.stop()
         assert max(extra) - min(extra) <= 64 << 10
-        assert max(extra) <= 6.60 * (1 << 20)
+        assert max(extra) <= 4.1 * (1 << 20) + (160 << 10)
 
     def test_no_scratch_outlives_its_step(self):
         built = []
@@ -773,6 +778,17 @@ class TestMatchesReference:
         with mock.patch.object(rules, "_BAND_CELLS", band_cells):
             self.assert_same(g, generations=3)
 
+    # widths 1 and 2 (halo pitch 3 and 4) in bands of one row, and of two rows with a
+    # short last one: a full band's last flat slice of the neighbor sum ends on the
+    # halo buffer's last element
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_narrow_bands(self, boundary, width, rows):
+        g = random_grid(np.random.default_rng(36 + width), width, 7, boundary)
+        with mock.patch.object(rules, "_BAND_CELLS", rows * width):
+            self.assert_same(g, generations=3)
+
     def test_classical_soup_wider_than_a_band(self):
         rng = np.random.default_rng(32)
         live = rng.random((70, 300)) < 0.35
@@ -881,3 +897,63 @@ class TestMatchesReference:
         assert cell.a == 0.0 and abs(cell.b - expected) <= 1e-6
         for got in (step_grid(g), swap_components(dual_step_grid(swap_components(g)))):
             assert abs(got.a[1, 1] - cell.a) <= 1e-12 and abs(got.b[1, 1] - cell.b) <= 1e-12
+
+
+# Parts at the edges of the double range, and norms from below the smallest a kept
+# cell can have (ZERO_NORM times the least region factor, 7.1e-11) to just below 2
+DIVIDE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.0**-1022, 1e-160, -1e-160,
+                0.5, 1.0, -1.0, 1e300, INF, -INF, NAN]
+
+
+def divide_mismatches() -> list[int]:
+    """Parts where ``rules._divide`` differs from ``np.divide``, and parts compared, over
+    every complex of ``DIVIDE_PARTS`` divided by every norm in [7e-11, 2)."""
+    rng = np.random.default_rng(35)
+    norms = [7e-11, rules.ZERO_NORM * rules._REGION_FACTORS[3], rules.ZERO_NORM, 0.5, 1.0,
+             math.sqrt(2.0), 1.83, math.nextafter(2.0, 0.0)]
+    norms += [math.nextafter(x, d) for x in (0.5, 1.0) for d in (0.0, 2.0)]
+    norms = np.concatenate([norms, np.exp(rng.uniform(math.log(7e-11), math.log(2.0), 788))])
+    cells = [complex(re, im) for re in DIVIDE_PARTS for im in DIVIDE_PARTS]
+    raw = np.repeat(np.array(cells), norms.size)
+    norm = np.tile(norms, len(cells))
+    out = np.empty_like(raw)
+    with np.errstate(all="ignore"):
+        rules._divide((raw,), norm, np.empty_like(raw), (out,))
+        expected = raw / norm
+    got, want = (np.frombuffer(exact_bytes(z), np.uint64) for z in (out, expected))
+    return [int((got != want).sum()), got.size]
+
+
+_DIVIDE_CHILD = """
+import json
+from conftest import dispatch_targets
+from test_rules import divide_mismatches
+print(json.dumps({"on": dispatch_targets(), "mismatches": divide_mismatches()}))
+"""
+
+
+class TestDivide:
+    """The kernel renormalizes by a reciprocal product with the bits of numpy's divide."""
+
+    def test_product_matches_divide(self):
+        assert divide_mismatches() == [0, 2 * 16 * 16 * 800]
+
+    def test_product_matches_divide_at_every_dispatch_level(self):
+        native, baseline = native_and_baseline(_DIVIDE_CHILD)
+        assert native["mismatches"] == baseline["mismatches"] == [0, 2 * 16 * 16 * 800]
+
+    @pytest.mark.parametrize("norms", [[1.0, 2.0], [2.0, 3.0], [NAN, 2.0]])
+    def test_large_or_nan_norm_takes_the_divide(self, norms):
+        # (-0 - 5e-324j) / 2: the product underflows the imaginary part to +0 where
+        # numpy's divide gives -0, so only the divide keeps the bits
+        norm = np.array(norms)
+        raw = np.full(2, complex(-0.0, -5e-324))
+        recip = np.empty_like(raw)
+        recip.real, recip.imag = 1.0 / norm, -0.0
+        out = np.empty_like(raw)
+        with np.errstate(invalid="ignore"):
+            product = raw * recip
+            rules._divide((raw,), norm, np.empty_like(raw), (out,))
+            expected = raw / norm
+        assert exact_bytes(out) == exact_bytes(expected)
+        assert np.signbit(expected.imag[1]) and not np.signbit(product.imag[1])
