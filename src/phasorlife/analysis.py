@@ -16,6 +16,7 @@ import operator
 import warnings
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .rules import step_grid
 from .state import Boundary, CellState, Grid
 
 BORDER_EPS = 1e-6
+# defaults: generations per classification and recurrence tolerance on alive-probability maps
+MAX_GEN = 200
+TOL = 1e-6
 # alive probability below which a cell counts as dead
 DEAD_THRESHOLD = 1e-6
 
@@ -259,10 +263,33 @@ def _check_dead_threshold(dead_threshold: float) -> None:
         raise ValueError("dead_threshold must lie in (0, 0.5)")
 
 
+def _check_classify(max_gen: int, tol: float, dead_threshold: float) -> int:
+    """``classify``'s ``max_gen`` as an int; raises ValueError on any bad argument."""
+    max_gen = operator.index(max_gen)
+    if max_gen < 1:
+        raise ValueError("max_gen must be at least 1")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
+    _check_dead_threshold(dead_threshold)
+    return max_gen
+
+
+def _check_phases(phases) -> list[float]:
+    """``sweep_phase``'s phases as floats, if non-empty, finite and strictly increasing."""
+    phases = [float(p) for p in phases]
+    if not phases:
+        raise ValueError("phases must be non-empty")
+    if not all(map(math.isfinite, phases)):
+        raise ValueError("phases must be finite")
+    if any(b <= a for a, b in pairwise(phases)):
+        raise ValueError("phases must be strictly increasing")
+    return phases
+
+
 def classify(
     g0: Grid,
-    max_gen: int = 200,
-    tol: float = 1e-6,
+    max_gen: int = MAX_GEN,
+    tol: float = TOL,
     dead_threshold: float = DEAD_THRESHOLD,
     canonicalize_dead_phase: bool = False,
 ) -> FateReport:
@@ -273,12 +300,7 @@ def classify(
     recurrence period (still life, oscillator, or, on a torus, translation)
     confirmed at two consecutive generations; otherwise unresolved.
     """
-    max_gen = operator.index(max_gen)
-    if max_gen < 1:
-        raise ValueError("max_gen must be at least 1")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError("tol must be positive and finite")
-    _check_dead_threshold(dead_threshold)
+    max_gen = _check_classify(max_gen, tol, dead_threshold)
 
     fixed = g0.boundary is Boundary.FIXED_DEAD
     border = False
@@ -298,10 +320,8 @@ def classify(
         p = g.alive_probability()
         if fixed and not border and _touches_border(p):
             border = True
-            if t:
-                msg = "live amplitude reached the fixed boundary; the finite grid truncates the dynamics"
-            else:
-                msg = "live amplitude on the fixed boundary; the finite grid truncates the dynamics"
+            msg = (f"live amplitude {'reached' if t else 'on'} the fixed boundary;"
+                   " the finite grid truncates the dynamics")
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
         if p.max() < dead_threshold:
             matcher.append(p)  # kept for the report, not matched
@@ -318,19 +338,10 @@ def classify(
     return report(VERDICT_UNRESOLVED, max_gen)
 
 
-def _single_transition_estimate(
-    phases: list[float], reports: list[FateReport]
-) -> float | None:
-    verdicts = [r.verdict for r in reports]
-    forward = [
-        i
-        for i in range(len(verdicts) - 1)
-        if verdicts[i] in STABLE_VERDICTS and verdicts[i + 1] == VERDICT_DEAD
-    ]
-    backward = any(
-        verdicts[i] == VERDICT_DEAD and verdicts[i + 1] in STABLE_VERDICTS
-        for i in range(len(verdicts) - 1)
-    )
+def _single_transition_estimate(phases: list[float], reports: list[FateReport]) -> float | None:
+    pairs = list(pairwise(r.verdict for r in reports))
+    forward = [i for i, (v, w) in enumerate(pairs) if v in STABLE_VERDICTS and w == VERDICT_DEAD]
+    backward = any(v == VERDICT_DEAD and w in STABLE_VERDICTS for v, w in pairs)
     if len(forward) == 1 and not backward:
         i = forward[0]
         return 0.5 * (phases[i] + phases[i + 1])
@@ -341,8 +352,8 @@ def sweep_phase(
     g: Grid,
     cell: tuple[int, int],
     phases: list[float],
-    max_gen: int = 200,
-    tol: float = 1e-6,
+    max_gen: int = MAX_GEN,
+    tol: float = TOL,
     dead_threshold: float = DEAD_THRESHOLD,
     canonicalize_dead_phase: bool = False,
 ) -> SweepResult:
@@ -357,13 +368,7 @@ def sweep_phase(
     amp = abs(base.a)
     if amp == 0.0:
         raise ValueError("sweep target cell is dead")
-    phases = [float(p) for p in phases]
-    if not phases:
-        raise ValueError("phases must be non-empty")
-    if not all(map(math.isfinite, phases)):
-        raise ValueError("phases must be finite")
-    if any(b <= a for a, b in zip(phases, phases[1:])):
-        raise ValueError("phases must be strictly increasing")
+    phases = _check_phases(phases)
     reports = []
     for theta in phases:
         replaced = CellState(amp * cmath.exp(1j * theta), base.b)
@@ -375,7 +380,7 @@ def sweep_phase(
 
 def measure_burn_rate(
     g: Grid,
-    max_gen: int = 200,
+    max_gen: int = MAX_GEN,
     dead_threshold: float = DEAD_THRESHOLD,
     canonicalize_dead_phase: bool = False,
 ) -> float:
@@ -407,12 +412,9 @@ def measure_burn_rate(
         if axis is None:
             axis = "x" if ext_x >= ext_y else "y"
         extents.append(ext_x if axis == "x" else ext_y)
-    last_change = 0
-    for i in range(1, len(extents)):
-        if extents[i] != extents[i - 1]:
-            last_change = i
-    if last_change == 0:
+    changes = [i for i in range(1, len(extents)) if extents[i] != extents[i - 1]]
+    if not changes:
         return 0.0
-    series = np.asarray(extents[: last_change + 1], dtype=float)
+    series = np.asarray(extents[: changes[-1] + 1], dtype=float)
     slope = np.polyfit(np.arange(series.size), series, 1)[0]
     return float(-slope)

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import DEAD_THRESHOLD, classify, evolve, sweep_phase
+from .analysis import (DEAD_THRESHOLD, MAX_GEN, TOL, _check_classify, _check_phases, classify,
+                       evolve, sweep_phase)
 from .oracle import conway_step, project
 from .render import render_ascii, render_csv, render_ppm
 from .rules import step_grid
@@ -71,9 +72,9 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
 
 
 def _add_classification(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--generations", type=int, default=200,
+    p.add_argument("--generations", type=int, default=MAX_GEN,
                    help="maximum generations per classification")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=float, default=TOL,
                    help="recurrence tolerance on alive-probability maps")
     p.add_argument("--dead-threshold", type=float, default=DEAD_THRESHOLD,
                    help="alive probability below which a cell counts as dead")
@@ -146,8 +147,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    phases = np.linspace(args.phase_start, args.phase_end, args.steps).tolist()
-    result = sweep_phase(_load(args), (args.cell[0], args.cell[1]), phases,
+    result = sweep_phase(_load(args), (args.cell[0], args.cell[1]), args.phases,
                          max_gen=args.generations, tol=args.tol,
                          dead_threshold=args.dead_threshold,
                          canonicalize_dead_phase=args.canonicalize_dead_phase)
@@ -193,22 +193,21 @@ _COMMANDS = {
 
 
 def _validate(args: argparse.Namespace) -> None:
-    if args.generations < 0:
-        raise _UsageError("generations must be >= 0")
-    if args.command in ("analyze", "sweep"):
-        if args.generations < 1:
-            raise _UsageError(f"{args.command} needs at least one generation")
-        if not (args.tol > 0.0 and math.isfinite(args.tol)):
-            raise _UsageError("tol must be positive and finite")
-        if not 0.0 < args.dead_threshold < 0.5:
-            raise _UsageError("--dead-threshold must lie in (0, 0.5)")
-    if args.command == "sweep":
-        if args.steps < 1:
-            raise _UsageError("steps must be >= 1")
-        if not (math.isfinite(args.phase_start) and math.isfinite(args.phase_end)):
-            raise _UsageError("phase-start and phase-end must be finite")
-        if args.steps > 1 and args.phase_end <= args.phase_start:
-            raise _UsageError("phase-end must exceed phase-start")
+    """Raise _UsageError on arguments that are bad whatever the pattern; analyze and sweep
+    run the library's checks, on the phases a sweep keeps as ``args.phases``."""
+    if args.command in ("run", "oracle-check"):
+        if args.generations < 0:
+            raise _UsageError("generations must be >= 0")
+        return
+    try:
+        _check_classify(args.generations, args.tol, args.dead_threshold)
+        if args.command == "sweep":
+            with np.errstate(all="ignore"):  # phases that overflow are refused as not finite
+                phases = np.linspace(args.phase_start, args.phase_end, args.steps)
+            args.phases = _check_phases(phases.tolist())
+    except ValueError as exc:  # name the flags, not the library parameters behind them
+        message = str(exc).replace("max_gen", "--generations")
+        raise _UsageError(message.replace("dead_threshold", "--dead-threshold")) from None
 
 
 def main(argv: list[str] | None = None) -> int:

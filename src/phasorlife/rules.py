@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import ZERO_NORM, Boundary, CellState, Grid, normalize
+from .state import NORM_TOL, ZERO_NORM, Boundary, CellState, Grid, normalize
 
 SQRT2_PLUS_1 = math.sqrt(2.0) + 1.0
 # The band core's weights are the table's times these, on A <= 1, (1, 2], (2, 3] and A > 3.
@@ -34,6 +34,8 @@ _REGION_FACTORS = tuple(SQRT2_PLUS_1**-k for k in range(4))
 PHASE_EPS = 1e-12  # below this sum magnitude the phase is defined as 0
 # Summing eight unit phasors can round a few ulps past 8; such sums count as 8.
 A_ROUNDING_SLACK = 8 * math.ulp(8.0)
+# The largest sum of eight cells that ``is_normalized`` accepts, plus that rounding.
+A_MAX = 8.0 * math.sqrt(1.0 + NORM_TOL) + A_ROUNDING_SLACK
 
 # Fixed accumulation order keeps scalar and vectorized neighbor sums bit-identical.
 _OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
@@ -72,11 +74,11 @@ def operator_weights(A: float) -> OperatorWeights:
     [4, 8], the survival/death blend owns (1, 2], the birth/survival blend
     owns (2, 3], the birth/death blend owns (3, 4). Normalization makes the
     constant factor irrelevant, so endpoint ownership is unobservable.
-    Sums up to ``A_ROUNDING_SLACK`` above 8 are rounding error and get the
-    death weights of A = 8; anything further out raises.
+    Sums up to ``A_MAX``, which eight in-tolerance cells and rounding can
+    reach past 8, get the death weights of A = 8; anything further out raises.
     """
     A = float(A)
-    if not math.isfinite(A) or A < 0.0 or A > 8.0 + A_ROUNDING_SLACK:
+    if not math.isfinite(A) or A < 0.0 or A > A_MAX:
         raise ValueError(f"neighbor sum magnitude out of [0, 8]: {A!r}")
     if A <= 1.0:
         return OperatorWeights(0.0, 0.0, 1.0)
@@ -225,23 +227,20 @@ def _weights_array(A: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _divide(
     raws: tuple[np.ndarray, ...], norm: np.ndarray, recip: np.ndarray, outs: tuple[np.ndarray, ...]
 ) -> None:
-    """Write each of ``raws`` over the real ``norm`` to ``outs``, as ``np.divide`` does.
+    """Write each of ``raws`` over the real ``norm`` to ``outs``, by one reciprocal.
 
     numpy divides a complex by a real d as (re + im*0) * (1/d) and
     (im - re*0) * (1/d); the product by (1/d, -0) rounds the same, signed
-    zeros, NaN and inf included, unless a nonzero part underflows to 0, which
-    needs 1/d <= 1/2. A normalized cell's norm is below 1.83, so only a NaN
-    or larger norm is left to the slower divide. ``recip`` is a complex
-    buffer shaped like ``norm``.
+    zeros and NaN included, for every d below 2: only with 1/d <= 1/2 can a
+    nonzero part underflow to a zero of the other sign. Cells that
+    ``is_normalized`` accepts give raw-pair norms of at most about sqrt(2), so
+    only a subnormal part of an out-of-model grid can take other bits than the
+    divide's. ``recip`` is a complex buffer shaped like ``norm``.
     """
-    if norm.max() < 2.0:
-        np.divide(1.0, norm, out=recip.real)
-        recip.imag = -0.0
-        for raw, out in zip(raws, outs):
-            np.multiply(raw, recip, out=out)
-    else:
-        for raw, out in zip(raws, outs):
-            np.divide(raw, norm, out=out)
+    np.reciprocal(norm, out=recip.real)
+    recip.imag = -0.0
+    for raw, out in zip(raws, outs):
+        np.multiply(raw, recip, out=out)
 
 
 def _step_band(

@@ -158,8 +158,7 @@ class Grid:
         return [CellState(complex(x), complex(y)) for x, y in zip(flat_a, flat_b)]
 
     def with_cell(self, x: int, y: int, cell: CellState) -> "Grid":
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise IndexError(f"cell ({x}, {y}) out of bounds for {self.width}x{self.height} grid")
+        self.cell(x, y)  # IndexError off the grid
         a = self._a.copy()
         b = self._b.copy()
         a[y, x] = cell.a

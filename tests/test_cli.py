@@ -264,7 +264,24 @@ class TestSweep:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "usage error: phase-start and phase-end must be finite\n"
+        assert captured.err == "usage error: phases must be finite\n"
+
+    # the checks run on the phases numpy builds, before the pattern is read: 64 points
+    # between adjacent floats repeat, and finite ends 2e308 apart overflow the spacing
+    @pytest.mark.parametrize("bound,message", [
+        (["--phase-start", "1", "--phase-end", "1.0000000000000002", "--steps", "64"],
+         "phases must be strictly increasing"),
+        (["--phase-start", "-1e308", "--phase-end", "1e308", "--steps", "3"],
+         "phases must be finite"),
+    ], ids=["repeated-phases", "overflowed-spacing"])
+    @pytest.mark.parametrize("sqp", ["block.sqp", "missing.sqp"])
+    def test_phases_numpy_builds_are_checked_first(self, capsys, tmp_path, bound, message, sqp):
+        path = pattern(sqp) if sqp == "block.sqp" else str(tmp_path / sqp)
+        rc = main(["sweep", "--pattern", path, "--cell", "3", "3", *bound])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
 
 
 class TestOracleCheck:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phasorlife import rules
+from phasorlife.state import NORM_TOL
 from phasorlife import (
     ALIVE,
     DEAD,
@@ -142,7 +143,7 @@ class TestOperatorWeights:
         for A in (4.0, 5.5, 8.0):
             assert operator_weights(A).w_D == 1.0
 
-    @pytest.mark.parametrize("A", [-0.1, -5e-324, 8.1, 8.0 + 1e-12, math.inf, math.nan])
+    @pytest.mark.parametrize("A", [-0.1, -5e-324, 8.1, 8.0 + 1e-8, math.inf, math.nan])
     def test_rejects_out_of_range(self, A):
         with pytest.raises(ValueError):
             operator_weights(A)
@@ -151,6 +152,24 @@ class TestOperatorWeights:
         A = math.nextafter(8.0, math.inf)
         assert operator_weights(A) == operator_weights(8.0)
         assert operator_weights(8.0 + rules.A_ROUNDING_SLACK) == operator_weights(8.0)
+
+    def test_eight_in_tolerance_neighbors_are_overcrowding(self):
+        assert operator_weights(rules.A_MAX) == operator_weights(8.0)
+        with pytest.raises(ValueError):
+            operator_weights(math.nextafter(rules.A_MAX, math.inf))
+
+    def test_scalar_steps_a_grid_of_in_tolerance_cells(self):
+        # |a|^2 = 1 + 0.9e-9 passes is_normalized, and eight such neighbors sum past
+        # 8 + A_ROUNDING_SLACK
+        a = math.sqrt(1.0 + 0.9e-9)
+        g = Grid(np.full((3, 3), a, dtype=complex), np.zeros((3, 3), dtype=complex),
+                 Boundary.TORUS)
+        assert g.is_normalized()
+        stepped = step_grid(g)
+        for y in range(3):
+            for x in range(3):
+                c = step_cell(g.cell(x, y), neighbor_sum(g, x, y))
+                assert c == stepped.cell(x, y) == CellState(0j, 1 + 0j)
 
     def test_at_most_two_nonzero_and_integer_purity(self):
         rng = np.random.default_rng(3)
@@ -942,18 +961,22 @@ class TestDivide:
         native, baseline = native_and_baseline(_DIVIDE_CHILD)
         assert native["mismatches"] == baseline["mismatches"] == [0, 2 * 16 * 16 * 800]
 
-    @pytest.mark.parametrize("norms", [[1.0, 2.0], [2.0, 3.0], [NAN, 2.0]])
-    def test_large_or_nan_norm_takes_the_divide(self, norms):
-        # (-0 - 5e-324j) / 2: the product underflows the imaginary part to +0 where
-        # numpy's divide gives -0, so only the divide keeps the bits
-        norm = np.array(norms)
-        raw = np.full(2, complex(-0.0, -5e-324))
-        recip = np.empty_like(raw)
-        recip.real, recip.imag = 1.0 / norm, -0.0
-        out = np.empty_like(raw)
-        with np.errstate(invalid="ignore"):
-            product = raw * recip
-            rules._divide((raw,), norm, np.empty_like(raw), (out,))
-            expected = raw / norm
-        assert exact_bytes(out) == exact_bytes(expected)
-        assert np.signbit(expected.imag[1]) and not np.signbit(product.imag[1])
+    def test_raw_pair_norm_stays_below_two(self):
+        # cells at the edge of is_normalized's tolerance under every neighbor sum in
+        # [0, 8]; half have a, b and the sum in phase, where the norm peaks at sqrt(2)
+        rng = np.random.default_rng(36)
+        n = 200_000
+        r = math.sqrt(1.0 + NORM_TOL)
+        t = rng.uniform(0.0, math.pi / 2, n)
+        A = np.concatenate([np.linspace(0.0, 8.0, 801), rng.uniform(0.0, 8.0, n - 801)])
+        phi, phase_a, phase_b = rng.uniform(-math.pi, math.pi, (3, n))
+        phase_a[::2] = phase_b[::2] = phi[::2]
+        live = (r * np.cos(t) * np.exp(1j * phase_a)).reshape(1, n)
+        dead = (r * np.sin(t) * np.exp(1j * phase_b)).reshape(1, n)
+        s = rules._BandScratch(1, n)
+        s.complex[0] = A * np.exp(1j * phi)
+        new_live, new_dead = np.empty_like(live), np.empty_like(dead)
+        with mock.patch.object(rules, "_divide", wraps=rules._divide) as divide:
+            rules._step_band(live, dead, s.complex[0], s, new_live, new_dead)
+        norm = divide.call_args.args[1]
+        assert math.sqrt(2.0) - 1e-6 < norm.max() < 2.0
