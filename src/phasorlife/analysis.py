@@ -124,12 +124,11 @@ class _RecurrenceMatcher:
     next pair.
     """
 
-    def __init__(self, boundary: Boundary, tol: float, size: int) -> None:
+    def __init__(self, boundary: Boundary, tol: float) -> None:
         self.probs: list[np.ndarray] = []  # one alive-probability map per generation
-        # each map's total and row sums (for the in-place gate), for up to size maps;
-        # the rows are sized by the first map
-        self.totals = np.empty(size)
-        self.rows = np.empty((size, 0))
+        # each map's total and row sums (for the in-place gate), with room for more maps
+        self.totals = np.empty(0)
+        self.rows = np.empty((0, 0))
         self.torus = boundary is Boundary.TORUS
         self.tol = tol
         # newest generation vs each earlier one: in place within tol, totals gate passed
@@ -139,8 +138,12 @@ class _RecurrenceMatcher:
     def append(self, p: np.ndarray) -> None:
         """Add the next generation's map to the history, without matching it."""
         t = len(self.probs)
-        if not t:
-            self.rows = np.empty((len(self.totals), len(p)))
+        if t == len(self.totals):
+            # full: double the room. np.resize keeps the first t entries (rows of the
+            # first map's height) in place and fills the rest, which is written before use
+            room = 2 * t + 16
+            self.totals = np.resize(self.totals, room)
+            self.rows = np.resize(self.rows, (room, len(p)))
         self.probs.append(p)
         self.totals[t] = p.sum()
         self.rows[t] = p.sum(axis=1)
@@ -245,7 +248,7 @@ class _RecurrenceMatcher:
         return None
 
 
-def evolve(g: Grid, generations: int, canonicalize_dead_phase: bool) -> Iterator[Grid]:
+def evolve(g: Grid, generations: int) -> Iterator[Grid]:
     """Generation 0 (g itself), then generations 1 .. generations.
 
     Each later grid is one ``step_grid`` of the one before, taken only when
@@ -254,7 +257,7 @@ def evolve(g: Grid, generations: int, canonicalize_dead_phase: bool) -> Iterator
     """
     yield g
     for _ in range(generations):
-        g = step_grid(g, canonicalize_dead_phase)
+        g = step_grid(g)
         yield g
 
 
@@ -291,7 +294,6 @@ def classify(
     max_gen: int = MAX_GEN,
     tol: float = TOL,
     dead_threshold: float = DEAD_THRESHOLD,
-    canonicalize_dead_phase: bool = False,
 ) -> FateReport:
     """Run up to max_gen generations and classify the long-run behavior.
 
@@ -304,7 +306,7 @@ def classify(
 
     fixed = g0.boundary is Boundary.FIXED_DEAD
     border = False
-    matcher = _RecurrenceMatcher(g0.boundary, tol, max_gen + 1)
+    matcher = _RecurrenceMatcher(g0.boundary, tol)
 
     def report(verdict: str, t: int, **extra) -> FateReport:
         return FateReport(
@@ -316,7 +318,7 @@ def classify(
             **extra,
         )
 
-    for t, g in enumerate(evolve(g0, max_gen, canonicalize_dead_phase)):
+    for t, g in enumerate(evolve(g0, max_gen)):
         p = g.alive_probability()
         if fixed and not border and _touches_border(p):
             border = True
@@ -355,7 +357,6 @@ def sweep_phase(
     max_gen: int = MAX_GEN,
     tol: float = TOL,
     dead_threshold: float = DEAD_THRESHOLD,
-    canonicalize_dead_phase: bool = False,
 ) -> SweepResult:
     """Classify the pattern once per phase value applied to one live cell.
 
@@ -372,8 +373,7 @@ def sweep_phase(
     reports = []
     for theta in phases:
         replaced = CellState(amp * cmath.exp(1j * theta), base.b)
-        reports.append(classify(g.with_cell(x, y, replaced), max_gen, tol, dead_threshold,
-                                canonicalize_dead_phase))
+        reports.append(classify(g.with_cell(x, y, replaced), max_gen, tol, dead_threshold))
     estimate = _single_transition_estimate(phases, reports)
     return SweepResult(tuple(phases), tuple(reports), estimate)
 
@@ -382,7 +382,6 @@ def measure_burn_rate(
     g: Grid,
     max_gen: int = MAX_GEN,
     dead_threshold: float = DEAD_THRESHOLD,
-    canonicalize_dead_phase: bool = False,
 ) -> float:
     """Rate at which the live bounding box shrinks along its major axis.
 
@@ -398,7 +397,7 @@ def measure_burn_rate(
     _check_dead_threshold(dead_threshold)
     extents: list[int] = []
     axis: str | None = None
-    for g in evolve(g, max_gen, canonicalize_dead_phase):
+    for g in evolve(g, max_gen):
         mask = g.alive_probability() >= dead_threshold  # as in classify, equal is live
         if not mask.any():
             if len(extents) < 3:

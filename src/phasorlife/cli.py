@@ -110,12 +110,6 @@ def build_parser() -> _Parser:
     sweep.add_argument("--phase-end", type=float, default=math.pi, help="last phase (radians)")
     sweep.add_argument("--steps", type=int, default=64, help="number of sweep points, inclusive")
 
-    # not oracle-check: the classical cells it accepts keep every b at exactly 0 or 1,
-    # which has no phase to strip
-    for p in (run, analyze, sweep):
-        p.add_argument("--canonicalize-dead-phase", action="store_true",
-                       help="strip the dead coefficient's phase after each step")
-
     oc = sub.add_parser("oracle-check", formatter_class=fmt,
                         help="compare the engine against the classical automaton")
     _add_shared(oc)
@@ -132,7 +126,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     suffix, frame = _FRAMES[args.format]
-    for gen, g in enumerate(evolve(_load(args), args.generations, args.canonicalize_dead_phase)):
+    for gen, g in enumerate(evolve(_load(args), args.generations)):
         (outdir / f"gen_{gen:05d}.{suffix}").write_bytes(frame(g))
     print(f"final total alive probability: {g.total_alive_probability():.17g}")
     return EXIT_OK
@@ -140,8 +134,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     report = classify(_load(args), max_gen=args.generations, tol=args.tol,
-                      dead_threshold=args.dead_threshold,
-                      canonicalize_dead_phase=args.canonicalize_dead_phase)
+                      dead_threshold=args.dead_threshold)
     print(json.dumps(report.to_json_dict(), sort_keys=True))
     return EXIT_OK
 
@@ -149,8 +142,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     result = sweep_phase(_load(args), (args.cell[0], args.cell[1]), args.phases,
                          max_gen=args.generations, tol=args.tol,
-                         dead_threshold=args.dead_threshold,
-                         canonicalize_dead_phase=args.canonicalize_dead_phase)
+                         dead_threshold=args.dead_threshold)
     print("phase_rad,verdict,death_generation")
     for theta, rep in zip(result.phases, result.reports):
         death = "" if rep.generation is None else str(rep.generation)

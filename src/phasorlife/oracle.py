@@ -42,6 +42,8 @@ class BoolGrid:
     ) -> "BoolGrid":
         arr = np.zeros((height, width), dtype=bool)
         for x, y in live:
+            if not (0 <= x < width and 0 <= y < height):  # numpy would wrap a negative one
+                raise IndexError(f"cell ({x}, {y}) out of bounds for {width}x{height} grid")
             arr[y, x] = True
         return cls(arr, boundary)
 

@@ -7,8 +7,6 @@ bytes, which makes golden-file testing trivial.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 
 import numpy as np
 
@@ -186,22 +184,15 @@ def _hsv_bytes(phase: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return rgb, edge & (v > 0.0)
 
 
-def render_ppm(g: Grid, cell_pixel_size: int = 1) -> bytes:
+def render_ppm(g: Grid) -> bytes:
     """Binary P6 image: hue from the phase of a, brightness |a|^2, dead cells black.
 
-    Each cell is a ``cell_pixel_size`` square of pixels.
+    One pixel per cell.
     """
-    size = cell_pixel_size
-    # a float would reach the PPM header as "2.5", and True would pass as 1
-    if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
-        raise ValueError(f"cell_pixel_size must be a positive integer, got {size!r}")
-    # a numpy integer would multiply into the header in its own width: np.uint8(3) wraps
-    size = operator.index(size)
-    parts = [f"P6\n{g.width * size} {g.height * size}\n255\n".encode("ascii")]
+    parts = [f"P6\n{g.width} {g.height}\n255\n".encode("ascii")]
     for rows in _row_blocks(g, _BLOCK_CELLS):
         a = g.a[rows]
-        rgb = _by_phase(_hsv_bytes, a, np.minimum(_squared(_amplitude(a)), 1.0))
-        parts.append(np.repeat(np.repeat(rgb, size, axis=0), size, axis=1).tobytes())
+        parts.append(_by_phase(_hsv_bytes, a, np.minimum(_squared(_amplitude(a)), 1.0)).tobytes())
     return b"".join(parts)
 
 

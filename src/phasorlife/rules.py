@@ -125,21 +125,15 @@ def neighbor_sum(g: Grid, x: int, y: int) -> NeighborSum:
     return NeighborSum.from_alpha(alpha)
 
 
-def step_cell(c: CellState, ns: NeighborSum, canonicalize_dead_phase: bool = False) -> CellState:
-    """One-cell update: weighted operator mixture, then renormalization.
-
-    ``canonicalize_dead_phase`` then strips the phase of ``b``.
-    """
+def step_cell(c: CellState, ns: NeighborSum) -> CellState:
+    """One-cell update: weighted operator mixture, then renormalization."""
     w = operator_weights(ns.A)
     ba, bb = apply_birth(c, ns.phi)
     sa, sb = apply_survival(c)
     da, db = apply_death(c, ns.phi)
     raw_a = w.w_B * ba + w.w_S * sa + w.w_D * da
     raw_b = w.w_B * bb + w.w_S * sb + w.w_D * db
-    out = normalize(raw_a, raw_b)
-    if canonicalize_dead_phase:
-        out = CellState(out.a, complex(abs(out.b), 0.0))
-    return out
+    return normalize(raw_a, raw_b)
 
 
 # Cells per row band of the stepping core. The size trades one thread's speed
@@ -299,9 +293,8 @@ def _step_band(
         np.copyto(new_dead, 1.0, where=vanished)
 
 
-def _step_arrays(
-    live: np.ndarray, dead: np.ndarray, boundary: Boundary, canonicalize_dead_phase: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _step_arrays(live: np.ndarray, dead: np.ndarray,
+                 boundary: Boundary) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous step of the component pair, alpha summed over ``live``.
 
     The grid is cut into row bands of at most ``_BAND_CELLS`` cells, so no
@@ -342,8 +335,6 @@ def _step_arrays(
             alpha = s.complex[0, :n]
             np.copyto(alpha, pitched[: n * pitch].reshape(n, pitch)[:, :w])
             _step_band(live[y0:y1], dead[y0:y1], alpha, s, new_live[y0:y1], new_dead[y0:y1])
-            if canonicalize_dead_phase:
-                np.copyto(new_dead[y0:y1], np.abs(new_dead[y0:y1], out=s.real[1, :n]))
 
     k = max(1, min(_cpu_count(), len(bands) // _MIN_BANDS_PER_THREAD))
     # One iterator shared by every thread: each takes the next band when it is
@@ -361,7 +352,7 @@ def _step_arrays(
     return new_live, new_dead
 
 
-def step_grid(g: Grid, canonicalize_dead_phase: bool = False) -> Grid:
+def step_grid(g: Grid) -> Grid:
     """Synchronous update of the whole grid.
 
     Pure function: the input grid is untouched and the result is bit-identical
@@ -369,21 +360,20 @@ def step_grid(g: Grid, canonicalize_dead_phase: bool = False) -> Grid:
     generation and the bands the core steps depend on the width alone. The
     threads are capped by the process's CPU affinity.
     """
-    new_a, new_b = _step_arrays(g.a, g.b, g.boundary, canonicalize_dead_phase)
+    new_a, new_b = _step_arrays(g.a, g.b, g.boundary)
     return Grid._adopt(new_a, new_b, g.boundary)
 
 
-def dual_step_grid(g: Grid, canonicalize_dead_phase: bool = False) -> Grid:
+def dual_step_grid(g: Grid) -> Grid:
     """Mirror stepper with the roles of the two components exchanged.
 
     Neighbor sums run over the b coefficients, birth fills the b slot, death
     fills the a slot, and total cancellation maps to the canonical all-alive
-    cell (1, 0); ``canonicalize_dead_phase`` strips the phase of ``a``. It is
-    the core of ``step_grid`` called with the components swapped, so
-    swap-step-swap agreement does not check it on its own; the scalar
-    ``step_cell``, applied with the roles swapped, does.
+    cell (1, 0). It is the core of ``step_grid`` called with the components
+    swapped, so swap-step-swap agreement does not check it on its own; the
+    scalar ``step_cell``, applied with the roles swapped, does.
     """
-    new_b, new_a = _step_arrays(g.b, g.a, g.boundary, canonicalize_dead_phase)
+    new_b, new_a = _step_arrays(g.b, g.a, g.boundary)
     return Grid._adopt(new_a, new_b, g.boundary)
 
 

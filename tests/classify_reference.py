@@ -77,7 +77,6 @@ def classify(
     max_gen: int = 200,
     tol: float = 1e-6,
     dead_threshold: float = DEAD_THRESHOLD,
-    canonicalize_dead_phase: bool = False,
 ) -> FateReport:
     """Run up to max_gen generations and classify the long-run behavior.
 
@@ -118,7 +117,7 @@ def classify(
 
     cache: dict[tuple[int, int], tuple[int, int] | None] = {}
     for t in range(1, max_gen + 1):
-        g = step_grid(g, canonicalize_dead_phase)
+        g = step_grid(g)
         p = g.alive_probability()
         probs.append(p)
         totals.append(float(p.sum()))

@@ -29,7 +29,6 @@ from phasorlife.render import (
 PATTERNS_DIR = Path(__file__).resolve().parent.parent / "patterns"
 DIGESTS_PATH = Path(__file__).resolve().parent / "data" / "render_digests.json"
 DIGEST_GENERATIONS = 4  # generations 0..3 of every shipped pattern
-PPM_PIXEL_SIZES = (1, 3)
 
 
 def _octant(phase: float) -> int:
@@ -65,16 +64,14 @@ def _hsv_bytes(phase: float, value: float) -> tuple[int, int, int]:
     return (round(255 * r), round(255 * gg), round(255 * b))
 
 
-def ref_render_ppm(g: Grid, cell_pixel_size: int = 1) -> bytes:
-    size = cell_pixel_size
+def ref_render_ppm(g: Grid) -> bytes:
     rgb = np.zeros((g.height, g.width, 3), dtype=np.uint8)
     for y in range(g.height):
         for x in range(g.width):
             c = g.cell(x, y)
             rgb[y, x] = _hsv_bytes(cmath.phase(c.a), abs(c.a) ** 2)
-    img = np.repeat(np.repeat(rgb, size, axis=0), size, axis=1)
-    header = f"P6\n{g.width * size} {g.height * size}\n255\n".encode("ascii")
-    return header + img.tobytes()
+    header = f"P6\n{g.width} {g.height}\n255\n".encode("ascii")
+    return header + rgb.tobytes()
 
 
 def ref_render_csv(g: Grid) -> str:
@@ -90,10 +87,7 @@ def ref_render_csv(g: Grid) -> str:
 
 
 def frame_digests(render_ascii, render_ppm, render_csv) -> dict[str, str]:
-    """sha256 of every golden frame, keyed ``<pattern>:<generation>:<format>``.
-
-    ``render_ppm`` is called as ``render_ppm(grid, cell_pixel_size)``.
-    """
+    """sha256 of every golden frame, keyed ``<pattern>:<generation>:<format>``."""
     digests: dict[str, str] = {}
     for path in sorted(PATTERNS_DIR.glob("*.sqp")):
         g = parse_pattern(path.read_text(encoding="utf-8")).grid
@@ -101,9 +95,8 @@ def frame_digests(render_ascii, render_ppm, render_csv) -> dict[str, str]:
             frames = {
                 "ascii": render_ascii(g).encode("utf-8"),
                 "csv": render_csv(g).encode("utf-8"),
+                "ppm1": render_ppm(g),  # the CI workflow reads this key name
             }
-            for size in PPM_PIXEL_SIZES:
-                frames[f"ppm{size}"] = render_ppm(g, size)
             for fmt, data in frames.items():
                 digests[f"{path.name}:{gen}:{fmt}"] = hashlib.sha256(data).hexdigest()
             g = step_grid(g)

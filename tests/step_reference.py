@@ -106,7 +106,7 @@ def _normalized_pair(
     return out_live, out_dead
 
 
-def ref_step_grid(g: Grid, canonicalize_dead_phase: bool = False) -> Grid:
+def ref_step_grid(g: Grid) -> Grid:
     """Synchronous update of the whole grid.
 
     Pure function: the input grid is untouched, because every cell reads only
@@ -115,12 +115,10 @@ def ref_step_grid(g: Grid, canonicalize_dead_phase: bool = False) -> Grid:
     alpha = _alpha_array(g.a, g.boundary)
     raw_a, raw_b, A = _mixed_raw(g.a, g.b, alpha)
     new_a, new_b = _normalized_pair(raw_a, raw_b, A, 0j, 1 + 0j)
-    if canonicalize_dead_phase:
-        new_b = np.abs(new_b).astype(np.complex128)
     return Grid._adopt(new_a, new_b, g.boundary)
 
 
-def ref_dual_step_grid(g: Grid, canonicalize_dead_phase: bool = False) -> Grid:
+def ref_dual_step_grid(g: Grid) -> Grid:
     """Mirror stepper with the roles of the two components exchanged.
 
     Neighbor sums run over the b coefficients, birth fills the b slot, death
@@ -132,6 +130,4 @@ def ref_dual_step_grid(g: Grid, canonicalize_dead_phase: bool = False) -> Grid:
     alpha = _alpha_array(g.b, g.boundary)
     raw_b, raw_a, A = _mixed_raw(g.b, g.a, alpha)
     new_b, new_a = _normalized_pair(raw_b, raw_a, A, 0j, 1 + 0j)
-    if canonicalize_dead_phase:
-        new_a = np.abs(new_a).astype(np.complex128)
     return Grid._adopt(new_a, new_b, g.boundary)

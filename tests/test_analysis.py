@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -38,7 +39,7 @@ def lifted(width, height, live, boundary=Boundary.FIXED_DEAD):
 
 def matcher_over(probs, boundary, tol):
     """A matcher whose history holds these maps, none of them matched yet."""
-    matcher = analysis._RecurrenceMatcher(boundary, tol, len(probs))
+    matcher = analysis._RecurrenceMatcher(boundary, tol)
     for p in probs:
         matcher.append(p)
     return matcher
@@ -591,7 +592,7 @@ class TestMatchesReference:
             # two unrelated maps, each moved by (1, 1): a period-2 translation
             probs = [p, q, window(p, 1, 1) + tol, window(q, 1, 1) + tol]
             totals = [float(m.sum()) for m in probs]
-            matcher = analysis._RecurrenceMatcher(Boundary.TORUS, tol, len(probs))
+            matcher = analysis._RecurrenceMatcher(Boundary.TORUS, tol)
             found = [matcher.advance(m) for m in probs][-1]
             assert found == first_confirmed(probs, tol)
             slack_needed["moved"] += found is not None and found[1] != (0, 0) and max(
@@ -720,7 +721,7 @@ class TestGenerationLoop:
         # three generations are four grids: asking for six yields four
         g0 = load_pattern("blinker.sqp").grid
         with mock.patch.object(analysis, "step_grid", wraps=analysis.step_grid) as step:
-            grids = list(itertools.islice(analysis.evolve(g0, 3, False), asked))
+            grids = list(itertools.islice(analysis.evolve(g0, 3), asked))
         assert grids[0] is g0
         assert len(grids) == min(asked, 4)
         assert step.call_count == len(grids) - 1
@@ -736,6 +737,18 @@ class TestGenerationLoop:
             report = classify(load_pattern(name).grid, max_gen=max_gen)
         assert report.verdict == verdict
         assert step.call_count == report.generations_run
+
+    def test_history_grows_with_the_generations_run(self):
+        # room for 10**7 + 1 maps' totals and row sums would take 534 MiB
+        g = load_pattern("block.sqp").grid
+        tracemalloc.start()
+        try:
+            report = classify(g, max_gen=10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (report.verdict, report.generations_run) == ("still_life", 2)
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("call", [
         lambda g: classify(g, max_gen=2.5),

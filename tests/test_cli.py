@@ -84,22 +84,16 @@ class TestRun:
         assert rc == 0
         assert (out / "gen_00100.csv").read_bytes() == (out / "gen_00000.csv").read_bytes()
 
-    @pytest.mark.parametrize("canonicalize", [False, True])
-    def test_canonicalize_dead_phase(self, tmp_path, capsys, canonicalize):
+    def test_dead_coefficient_keeps_its_phase(self, tmp_path, capsys):
         out = tmp_path / "frames"
-        flag = ["--canonicalize-dead-phase"] if canonicalize else []
         assert main(["run", "--pattern", pattern("block_phase_3pi4.sqp"), "--generations", "3",
-                     "--output", str(out), "--format", "csv", *flag]) == 0
+                     "--output", str(out), "--format", "csv"]) == 0
         capsys.readouterr()
-        for gen in range(4):
+        for gen in range(1, 4):
             rows = [line.split(",") for line in
                     (out / f"gen_{gen:05d}.csv").read_text().splitlines()[1:]]
-            re_b, im_b = [float(r[4]) for r in rows], [float(r[5]) for r in rows]
-            if canonicalize:
-                assert all(im == 0.0 for im in im_b) and all(re >= 0.0 for re in re_b)
-            elif gen > 0:
-                # the out-of-phase cell leaves a phase on the dead coefficient of three cells
-                assert sum(im != 0.0 for im in im_b) == 3
+            # the out-of-phase cell leaves a phase on the dead coefficient of three cells
+            assert sum(float(r[5]) != 0.0 for r in rows) == 3
 
     def test_identical_invocations_byte_identical(self, tmp_path):
         outs = []
@@ -375,13 +369,18 @@ class TestExitPaths:
         (["run", "--pattern", "{block}", "--output", "{out}", "--dead-threshold", "0.1"], 1),
         (["oracle-check", "--pattern", "{block}", "--dead-threshold", "0.1"], 1),
         (["oracle-check", "--pattern", "{block}", "--canonicalize-dead-phase"], 1),
+        (["run", "--pattern", "{missing}", "--output", "{out}", "--canonicalize-dead-phase"], 1),
+        (["analyze", "--pattern", "{missing}", "--canonicalize-dead-phase"], 1),
+        (["sweep", "--pattern", "{missing}", "--cell", "3", "3", "--canonicalize-dead-phase"], 1),
     ], ids=["output-is-a-file", "cell-off-grid", "analyze-zero-generations",
             "sweep-zero-steps-before-missing-pattern", "dead-threshold-before-missing-pattern",
             "sweep-nan-dead-threshold-before-missing-pattern",
             "analyze-zero-tol-before-missing-pattern", "sweep-nan-tol-before-missing-pattern",
             "sweep-zero-generations-before-missing-pattern", "sweep-zero-generations",
             "run-takes-no-dead-threshold", "oracle-check-takes-no-dead-threshold",
-            "oracle-check-takes-no-canonicalize-dead-phase"])
+            "oracle-check-takes-no-canonicalize-dead-phase",
+            "run-takes-no-canonicalize-dead-phase", "analyze-takes-no-canonicalize-dead-phase",
+            "sweep-takes-no-canonicalize-dead-phase"])
     def test_exit_code(self, tmp_path, capsys, argv, code):
         taken = tmp_path / "taken"
         taken.write_text("")
@@ -390,6 +389,7 @@ class TestExitPaths:
         assert main([arg.format(**paths) for arg in argv]) == code
         err = capsys.readouterr().err
         assert err.startswith("usage error: " if code == 1 else "error: ")
+        assert err.count("\n") == 1
         # the message names the flag, not the library parameter behind it
         assert "max_gen" not in err
         assert "dead_threshold" not in err

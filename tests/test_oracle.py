@@ -56,6 +56,13 @@ class TestConwayStep:
         with pytest.raises(ValueError, match="2-D with positive dimensions"):
             BoolGrid(alive)
 
+    @pytest.mark.parametrize("cell", [(-1, 0), (5, 0), (0, -1), (0, 5)])
+    def test_from_coords_rejects_cells_off_the_grid(self, cell):
+        # numpy alone would set (4, 0) for (-1, 0)
+        x, y = cell
+        with pytest.raises(IndexError, match=rf"^cell \({x}, {y}\) out of bounds for 5x5 grid$"):
+            bool_grid(5, 5, [cell])
+
     def test_torus_wrap(self):
         # blinker crossing the seam of a torus still oscillates
         g = bool_grid(5, 5, [(4, 2), (0, 2), (1, 2)], Boundary.TORUS)

@@ -23,7 +23,7 @@ from phasorlife import (
     render_ppm,
     step_grid,
 )
-from conftest import load_pattern, native_and_baseline
+from conftest import native_and_baseline
 from render_reference import (
     DIGESTS_PATH,
     _hsv_bytes as ref_hsv_bytes,
@@ -79,11 +79,6 @@ class TestPpm:
         r, g, b = data[-3:]
         assert g == 255 and b == 0 and 0 < r < 255
 
-    def test_pixel_scaling(self):
-        data = render_ppm(Grid.dead(2, 1), 3)
-        assert data.startswith(b"P6\n6 3\n255\n")
-        assert len(data) == len(b"P6\n6 3\n255\n") + 6 * 3 * 3
-
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         r = rng.random((3, 3))
@@ -91,29 +86,6 @@ class TestPpm:
         b = np.sqrt(1 - r * r).astype(complex)
         g = Grid(a, b)
         assert render_ppm(g) == render_ppm(g)
-
-    def test_rejects_bad_pixel_size(self):
-        # 2.5 would write the header "P6\n50.0 50.0\n255\n" for the glider
-        for size in (0, 2.5, True):
-            with pytest.raises(ValueError):
-                render_ppm(Grid.dead(1, 1), size)
-
-    def test_numpy_integer_pixel_size(self):
-        g = load_pattern("glider.sqp").grid
-        ppm = render_ppm(g, np.int64(3))
-        assert ppm == render_ppm(g, 3)
-        assert ppm.startswith(b"P6\n%d %d\n255\n" % (3 * g.width, 3 * g.height))
-
-    def test_narrow_numpy_integer_pixel_size(self):
-        # in uint8, 100 * 3 wraps to 44 in the header while the pixels are 300 wide
-        g = Grid.dead(100, 2)
-        assert render_ppm(g, np.uint8(3)) == render_ppm(g, 3)
-        assert render_ppm(g, np.uint8(3)).startswith(b"P6\n300 6\n255\n")
-
-    def test_numpy_integer_pixel_size_wider_than_its_type(self):
-        # a width of 256 does not fit in uint8 either
-        g = Grid.dead(256, 1)
-        assert render_ppm(g, np.uint8(1)) == render_ppm(g, 1)
 
 
 class TestHsvBytes:
@@ -258,7 +230,7 @@ amps = rng.uniform(0.0, 1.0, len(phases)).tolist()
 a = np.array([r * complex(math.cos(p), math.sin(p)) for r, p in zip(amps, phases)]).reshape(shape)
 edges = Grid(a, np.zeros_like(a))
 frames = {"csv": render_csv(g).encode(), "ascii": render_ascii(edges).encode(),
-          "ppm": render_ppm(edges, 2)}
+          "ppm": render_ppm(edges)}
 print(json.dumps({"on": dispatch_targets(),
                   "sha256": {k: hashlib.sha256(v).hexdigest() for k, v in frames.items()}}))
 """
@@ -332,11 +304,10 @@ def edge_grid() -> Grid:
     return Grid(np.array(a).reshape(-1, 7), np.array(b).reshape(-1, 7))
 
 
-def assert_matches_reference(g: Grid, pixel_sizes=range(1, 5)) -> None:
+def assert_matches_reference(g: Grid) -> None:
     assert render_ascii(g) == ref_render_ascii(g)
     assert render_csv(g) == ref_render_csv(g)
-    for size in pixel_sizes:
-        assert render_ppm(g, size) == ref_render_ppm(g, size)
+    assert render_ppm(g) == ref_render_ppm(g)
 
 
 class TestMatchesReference:
@@ -348,12 +319,11 @@ class TestMatchesReference:
         # 1 to 20 cells split the ascii and ppm grids into row blocks; CSV blocks are a
         # quarter as large, so multiples of 4 also give CSV blocks of several rows
         block_cells=st.integers(1, 20) | st.integers(2, 40).map(lambda k: 4 * k),
-        size=st.integers(1, 4),
     )
-    def test_random_grids(self, g, block_cells, size):
+    def test_random_grids(self, g, block_cells):
         # small blocks split the grid into several row blocks with a short last one
         with mock.patch.object(render, "_BLOCK_CELLS", block_cells):
-            assert_matches_reference(g, [size])
+            assert_matches_reference(g)
 
     @pytest.mark.parametrize("block_cells", [1, 10, 16, render._BLOCK_CELLS])
     def test_edge_grid(self, block_cells):
@@ -366,7 +336,7 @@ class TestMatchesReference:
         shape = (256, 256)
         a = rng.random(shape) * np.exp(1j * rng.uniform(-math.pi, math.pi, shape))
         b = rng.random(shape) * np.exp(1j * rng.uniform(-math.pi, math.pi, shape))
-        assert_matches_reference(Grid(a, b), [1])
+        assert_matches_reference(Grid(a, b))
 
 
 def redone_cells(render_frame, g: Grid) -> list[tuple[float, float]]:

@@ -240,11 +240,6 @@ class TestStepCell:
         assert abs(out.a - 1 / SQ2) < 1e-12
         assert abs(out.b - 1 / SQ2) < 1e-12
 
-    def test_canonicalize_dead_phase(self):
-        out = step_cell(ALIVE, NeighborSum.from_alpha(1j), canonicalize_dead_phase=True)
-        assert out.b.imag == 0.0
-        assert out.b.real >= 0.0
-
 
 class TestStepGrid:
     def test_block_is_exact_still_life(self):
@@ -594,9 +589,8 @@ class TestDuality:
         assert np.max(np.abs(g2.a - g.a)) < 1e-12
         assert np.max(np.abs(g2.b - g.b)) < 1e-12
 
-    @pytest.mark.parametrize("canonical", [False, True])
     @pytest.mark.parametrize("boundary", [Boundary.FIXED_DEAD, Boundary.TORUS])
-    def test_matches_scalar_step_with_roles_swapped(self, boundary, canonical):
+    def test_matches_scalar_step_with_roles_swapped(self, boundary):
         # dual_step_grid shares its array core with step_grid, so the
         # swap-step-swap checks cannot see a fault in that core; step_cell can
         rng = np.random.default_rng(22)
@@ -608,16 +602,16 @@ class TestDuality:
         grids = [cancelling] + [random_grid(rng, 6, 5, boundary) for _ in range(20)]
         for g in grids:
             mirrored = swap_components(g)
-            stepped = dual_step_grid(g, canonical)
+            stepped = dual_step_grid(g)
             for y in range(g.height):
                 for x in range(g.width):
                     ns = neighbor_sum(mirrored, x, y)
-                    expected = step_cell(mirrored.cell(x, y), ns, canonical)
+                    expected = step_cell(mirrored.cell(x, y), ns)
                     got = stepped.cell(x, y)
                     assert abs(got.a - expected.b) < 1e-12
                     assert abs(got.b - expected.a) < 1e-12
         for cpus in (1, 2):
-            assert step_on_cpus(dual_step_grid, cpus, cancelling, canonical).cell(1, 1) == ALIVE
+            assert step_on_cpus(dual_step_grid, cpus, cancelling).cell(1, 1) == ALIVE
 
     def test_random_grids(self):
         rng = np.random.default_rng(21)
@@ -718,17 +712,16 @@ class TestWorkerIndependence:
     @pytest.mark.parametrize("boundary", list(Boundary))
     @pytest.mark.parametrize("stepper", [step_grid, dual_step_grid])
     def test_nan_sign_bits_match(self, stepper, boundary, band_cells):
-        for canonical in (False, True):
-            cur = self.nan_soup(boundary)
-            with mock.patch.object(rules, "_BAND_CELLS", band_cells), threads_on_every_band():
-                for _ in range(2):
-                    base = step_on_cpus(stepper, 1, cur, canonical)
-                    assert np.isnan(base.a).any() and np.isnan(base.b).any()
-                    for cpus in range(2, 6):
-                        got = step_on_cpus(stepper, cpus, cur, canonical)
-                        assert got.a.tobytes() == base.a.tobytes()
-                        assert got.b.tobytes() == base.b.tobytes()
-                    cur = base
+        cur = self.nan_soup(boundary)
+        with mock.patch.object(rules, "_BAND_CELLS", band_cells), threads_on_every_band():
+            for _ in range(2):
+                base = step_on_cpus(stepper, 1, cur)
+                assert np.isnan(base.a).any() and np.isnan(base.b).any()
+                for cpus in range(2, 6):
+                    got = step_on_cpus(stepper, cpus, cur)
+                    assert got.a.tobytes() == base.a.tobytes()
+                    assert got.b.tobytes() == base.b.tobytes()
+                cur = base
 
 
 class TestMatchesReference:
@@ -740,17 +733,16 @@ class TestMatchesReference:
         # one band per thread is enough, so up to five threads really run
         with threads_on_every_band():
             for stepper, ref_stepper in self.STEPPERS:
-                for canonical in (False, True):
-                    cur = g
-                    for _ in range(generations):
-                        expected = ref_stepper(cur, canonical)
-                        for cpus in range(1, 6):
-                            got = step_on_cpus(stepper, cpus, cur, canonical)
-                            assert exact_bytes(got.a) == exact_bytes(expected.a)
-                            assert exact_bytes(got.b) == exact_bytes(expected.b)
-                            assert got.boundary is cur.boundary
-                            assert not (got.a.flags.writeable or got.b.flags.writeable)
-                        cur = expected
+                cur = g
+                for _ in range(generations):
+                    expected = ref_stepper(cur)
+                    for cpus in range(1, 6):
+                        got = step_on_cpus(stepper, cpus, cur)
+                        assert exact_bytes(got.a) == exact_bytes(expected.a)
+                        assert exact_bytes(got.b) == exact_bytes(expected.b)
+                        assert got.boundary is cur.boundary
+                        assert not (got.a.flags.writeable or got.b.flags.writeable)
+                    cur = expected
 
     # NaN and infinite cells make numpy warn, in the worker threads too
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
