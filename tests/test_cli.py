@@ -173,6 +173,12 @@ class TestAnalyze:
         data = self.run_json(capsys, "--pattern", pattern("blinker.sqp"))
         assert sorted(data) == sorted(f.name for f in dataclasses.fields(FateReport))
 
+    def test_billion_generation_horizon(self, capsys):
+        # the block settles at 2; no history is reserved for the horizon
+        data = self.run_json(capsys, "--pattern", pattern("block.sqp"),
+                             "--generations", "1000000000")
+        assert (data["verdict"], data["generations_run"]) == ("still_life", 2)
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_is_usage_error(self, capsys, tol):
         rc = main(["analyze", "--pattern", pattern("blinker.sqp"), "--tol", tol])
@@ -211,6 +217,16 @@ class TestSweep:
         assert rc == 0
         out = capsys.readouterr().out.splitlines()
         assert len([l for l in out[1:] if l and not l.startswith("#")]) == 1
+
+    def test_billion_generation_horizon(self, capsys):
+        # both classifications stop at 2, far short of the horizon
+        rc = main(["sweep", "--pattern", pattern("block.sqp"), "--cell", "3", "3",
+                   "--phase-start", "0", "--phase-end", str(math.pi), "--steps", "2",
+                   "--generations", "1000000000"])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        rows = [l.split(",")[1:] for l in out[1:] if not l.startswith("#")]
+        assert rows == [["still_life", ""], ["dead", "2"]]
 
     # each of the three classifications warns; the text is printed once, or
     # not at all where the active filters ignore it
