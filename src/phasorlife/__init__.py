@@ -34,7 +34,6 @@ from .state import (
     measure_alive_probability,
     normalize,
     parse_pattern,
-    serialize_pattern,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +69,6 @@ __all__ = [
     "render_ascii",
     "render_csv",
     "render_ppm",
-    "serialize_pattern",
     "step_cell",
     "step_grid",
     "swap_components",

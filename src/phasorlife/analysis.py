@@ -15,7 +15,7 @@ import math
 import operator
 import warnings
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import pairwise
 
 import numpy as np
@@ -59,9 +59,6 @@ class FateReport:
 
     def is_stable(self) -> bool:
         return self.verdict in STABLE_VERDICTS
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ kernel numpy dispatches. CSV digits do not depend on dispatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -128,14 +129,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     suffix, frame = _FRAMES[args.format]
     for gen, g in enumerate(evolve(_load(args), args.generations)):
         (outdir / f"gen_{gen:05d}.{suffix}").write_bytes(frame(g))
-    print(f"final total alive probability: {g.total_alive_probability():.17g}")
+    print(f"final total alive probability: {float(g.alive_probability().sum()):.17g}")
     return EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     report = classify(_load(args), max_gen=args.generations, tol=args.tol,
                       dead_threshold=args.dead_threshold)
-    print(json.dumps(report.to_json_dict(), sort_keys=True))
+    print(json.dumps(dataclasses.asdict(report), sort_keys=True))
     return EXIT_OK
 
 
@@ -197,7 +198,8 @@ def _validate(args: argparse.Namespace) -> None:
             with np.errstate(all="ignore"):  # phases that overflow are refused as not finite
                 phases = np.linspace(args.phase_start, args.phase_end, args.steps)
             args.phases = _check_phases(phases.tolist())
-    except ValueError as exc:  # name the flags, not the library parameters behind them
+    # numpy refuses a --steps count it cannot allocate with a MemoryError
+    except (ValueError, MemoryError) as exc:  # name the flags, not the library parameters
         message = str(exc).replace("max_gen", "--generations")
         raise _UsageError(message.replace("dead_threshold", "--dead-threshold")) from None
 

@@ -8,14 +8,12 @@ documents (extension ``.sqp``) whose grammar is documented in the README.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -111,21 +109,6 @@ class Grid:
         b = np.ones((height, width), dtype=np.complex128)
         return cls(a, b, boundary)
 
-    @classmethod
-    def from_cells(
-        cls,
-        width: int,
-        height: int,
-        cells: Sequence[CellState] | Iterable[CellState],
-        boundary: Boundary = Boundary.FIXED_DEAD,
-    ) -> "Grid":
-        cells = list(cells)
-        if len(cells) != width * height:
-            raise ValueError(f"expected {width * height} cells, got {len(cells)}")
-        a = np.array([c.a for c in cells], dtype=np.complex128).reshape(height, width)
-        b = np.array([c.b for c in cells], dtype=np.complex128).reshape(height, width)
-        return cls(a, b, boundary)
-
     @property
     def a(self) -> np.ndarray:
         return self._a
@@ -151,12 +134,6 @@ class Grid:
             raise IndexError(f"cell ({x}, {y}) out of bounds for {self.width}x{self.height} grid")
         return CellState(complex(self._a[y, x]), complex(self._b[y, x]))
 
-    def cells(self) -> list[CellState]:
-        """Row-major list of cell states."""
-        flat_a = self._a.ravel()
-        flat_b = self._b.ravel()
-        return [CellState(complex(x), complex(y)) for x, y in zip(flat_a, flat_b)]
-
     def with_cell(self, x: int, y: int, cell: CellState) -> "Grid":
         self.cell(x, y)  # IndexError off the grid
         a = self._a.copy()
@@ -175,9 +152,6 @@ class Grid:
         # not libm's pow() as in the renderers: classify and measure_burn_rate are
         # pinned to these bits
         return np.abs(self._a) ** 2
-
-    def total_alive_probability(self) -> float:
-        return float(self.alive_probability().sum())
 
     def is_normalized(self) -> bool:
         norms = self.alive_probability() + np.abs(self._b) ** 2
@@ -439,50 +413,3 @@ def parse_pattern(text: str) -> PatternDocument:
     a, b = _decode_cells(tokens, rows, width)
     grid = Grid(a.reshape(height, width), b.reshape(height, width), boundary)
     return PatternDocument(grid=grid, name=name, comment=comment)
-
-
-_CELL_GLYPHS = {cell.a: glyph for glyph, cell in _GLYPH_CELLS.items()}
-
-
-def _cell_token(a: complex) -> str:
-    # dict lookup compares complex keys with ==, so signed zeros find their glyph
-    glyph = _CELL_GLYPHS.get(a)
-    if glyph is not None:
-        return glyph
-    amp = abs(a)
-    # clamping this far would break the 1e-9 round trip that serialize_pattern promises
-    if amp > 1.0 + 1e-9:
-        raise ValueError(f"cell amplitude {amp!r} exceeds 1; no token can carry it")
-    # amp may exceed 1 by a few ulps on normalized cells; clamp so the token re-parses
-    amp = min(amp, 1.0)
-    deg = math.degrees(cmath.phase(a))
-    return f"{amp:.17g}@{deg:.17g}"
-
-
-def serialize_pattern(doc: PatternDocument) -> str:
-    """Render a PatternDocument back to .sqp text.
-
-    Only the a coefficient of each cell is preserved; b is re-derived as the
-    nonnegative real complement on parse. Re-parsing reproduces every a within
-    1e-9 (exactly, for glyph tokens). A name or comment holding a line break
-    or surrounding whitespace, or a cell with |a| > 1 + 1e-9, raises
-    ValueError, since the file could not be read back as it was. An empty name
-    or comment is written as absent.
-    """
-    g = doc.grid
-    lines: list[str] = []
-    for label, value in (("name", doc.name), ("comment", doc.comment)):
-        if value:
-            # the parser ends the line at any break and strips the text
-            if value.strip().splitlines() != [value]:
-                raise ValueError(
-                    f"pattern {label} must be one line without surrounding whitespace: {value!r}"
-                )
-            lines.append(f"# {label}: {value}")
-    lines.append("version 1")
-    lines.append(f"size {g.width} {g.height}")
-    lines.append(f"boundary {g.boundary.value}")
-    lines.append("cells")
-    for row in g.a.tolist():
-        lines.append(" ".join(map(_cell_token, row)))
-    return "\n".join(lines) + "\n"

@@ -1,19 +1,21 @@
 """Per-token ``.sqp`` parser, the oracle the token-table ``parse_pattern`` must equal.
 
 This is ``parse_pattern`` as it was before the cell section was rewritten: one
-``_TOKEN_RE`` scan per row, one ``_parse_token`` call and one ``CellState``
-per token, and a ``Grid.from_cells`` round trip. Its header values have
-since been narrowed, in step with the parser, to ASCII decimal integers. It
-plays the role ``step_cell`` plays for the stepper and ``render_reference.py``
-for the renderers: ``tests/test_state.py`` asserts that ``phasorlife.parse_pattern``
-gives the same ``a``/``b`` bits, or the same ``PatternError`` (message, line
-and column), on every document it tries.
+``_TOKEN_RE`` scan per row, and one ``_parse_token`` call and one ``CellState``
+per token. Its header values have since been narrowed, in step with the
+parser, to ASCII decimal integers. It plays the role ``step_cell`` plays for
+the stepper and ``render_reference.py`` for the renderers:
+``tests/test_state.py`` asserts that ``phasorlife.parse_pattern`` gives the
+same ``a``/``b`` bits, or the same ``PatternError`` (message, line and
+column), on every document it tries.
 """
 
 from __future__ import annotations
 
 import math
 import re
+
+import numpy as np
 
 from phasorlife.state import (
     DEAD,
@@ -143,5 +145,7 @@ def parse_pattern(text: str) -> PatternDocument:
     if pos < len(significant):
         raise PatternError("unexpected content after cell rows", significant[pos][0])
 
-    grid = Grid.from_cells(width, height, cells, boundary)
+    a = np.array([c.a for c in cells], dtype=np.complex128).reshape(height, width)
+    b = np.array([c.b for c in cells], dtype=np.complex128).reshape(height, width)
+    grid = Grid(a, b, boundary)
     return PatternDocument(grid=grid, name=name, comment=comment)

@@ -388,6 +388,8 @@ class TestExitPaths:
         (["run", "--pattern", "{missing}", "--output", "{out}", "--canonicalize-dead-phase"], 1),
         (["analyze", "--pattern", "{missing}", "--canonicalize-dead-phase"], 1),
         (["sweep", "--pattern", "{missing}", "--cell", "3", "3", "--canonicalize-dead-phase"], 1),
+        # numpy refuses this many points at once, so nothing is allocated
+        (["sweep", "--pattern", "{missing}", "--cell", "3", "3", "--steps", "1000000000000000"], 1),
     ], ids=["output-is-a-file", "cell-off-grid", "analyze-zero-generations",
             "sweep-zero-steps-before-missing-pattern", "dead-threshold-before-missing-pattern",
             "sweep-nan-dead-threshold-before-missing-pattern",
@@ -396,7 +398,8 @@ class TestExitPaths:
             "run-takes-no-dead-threshold", "oracle-check-takes-no-dead-threshold",
             "oracle-check-takes-no-canonicalize-dead-phase",
             "run-takes-no-canonicalize-dead-phase", "analyze-takes-no-canonicalize-dead-phase",
-            "sweep-takes-no-canonicalize-dead-phase"])
+            "sweep-takes-no-canonicalize-dead-phase",
+            "sweep-unallocatable-steps-before-missing-pattern"])
     def test_exit_code(self, tmp_path, capsys, argv, code):
         taken = tmp_path / "taken"
         taken.write_text("")

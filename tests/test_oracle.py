@@ -11,7 +11,6 @@ from phasorlife import (
     DEAD,
     BoolGrid,
     Boundary,
-    CellState,
     Grid,
     conway_step,
     lift,
@@ -93,8 +92,8 @@ class TestLiftProject:
             assert project(lift(g)) == g
 
     def test_project_threshold_strict(self):
-        half = CellState(complex(1 / math.sqrt(2)), complex(1 / math.sqrt(2)))
-        g = Grid.from_cells(1, 1, [half])
+        half = 1 / math.sqrt(2)
+        g = Grid([[half]], [[half]])
         assert not project(g).alive[0, 0]
 
     def test_project_matches_squared_threshold(self):

@@ -35,7 +35,7 @@ from render_reference import (
 
 
 def single(cell: CellState) -> Grid:
-    return Grid.from_cells(1, 1, [cell])
+    return Grid([[cell.a]], [[cell.b]])
 
 
 class TestAscii:
@@ -59,8 +59,7 @@ class TestAscii:
         assert render_ascii(single(half)) == "⇒\n"
 
     def test_rows_and_newlines(self):
-        g = Grid.from_cells(2, 2, [ALIVE, CellState(1j, 0j),
-                                   CellState(-1 + 0j, 0j), CellState(-1j, 0j)])
+        g = Grid([[1, 1j], [-1, -1j]], np.zeros((2, 2)))
         assert render_ascii(g) == "→↑\n←↓\n"
 
 
