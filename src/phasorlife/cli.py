@@ -195,11 +195,14 @@ def _validate(args: argparse.Namespace) -> None:
     try:
         _check_classify(args.generations, args.tol, args.dead_threshold)
         if args.command == "sweep":
-            with np.errstate(all="ignore"):  # phases that overflow are refused as not finite
-                phases = np.linspace(args.phase_start, args.phase_end, args.steps)
+            try:
+                with np.errstate(all="ignore"):  # phases that overflow are refused as not finite
+                    phases = np.linspace(args.phase_start, args.phase_end, args.steps)
+            # numpy's refusal of a count, a MemoryError one it cannot allocate, names no flag
+            except (ValueError, IndexError, MemoryError) as exc:
+                raise _UsageError(f"--steps {args.steps}: {exc}") from None
             args.phases = _check_phases(phases.tolist())
-    # numpy refuses a --steps count it cannot allocate with a MemoryError
-    except (ValueError, MemoryError) as exc:  # name the flags, not the library parameters
+    except ValueError as exc:  # name the flags, not the library parameters
         message = str(exc).replace("max_gen", "--generations")
         raise _UsageError(message.replace("dead_threshold", "--dead-threshold")) from None
 

@@ -293,6 +293,30 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err == f"usage error: {message}\n"
 
+    # numpy refuses each count at once, allocating nothing: a negative count, more points
+    # than memory holds, a count past int64 that linspace mis-indexes, and one past intp
+    @pytest.mark.parametrize("steps", ["-1", "1000000000000000", "1000000000000000000",
+                                       "9223372036854775808", "100000000000000000000"])
+    @pytest.mark.parametrize("sqp", ["block.sqp", "missing.sqp"])
+    def test_a_count_numpy_refuses_names_steps(self, capsys, tmp_path, steps, sqp):
+        path = pattern(sqp) if sqp == "block.sqp" else str(tmp_path / sqp)
+        rc = main(["sweep", "--pattern", path, "--cell", "3", "3", f"--steps={steps}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: --steps {steps}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_a_memory_error_while_sweeping_is_not_a_usage_error(self, capsys, monkeypatch):
+        # only the phases' allocation is a usage error; the running command's own is raised
+        def exhausted(*args, **kwargs):
+            raise MemoryError("exhausted while sweeping")
+
+        monkeypatch.setattr(cli, "sweep_phase", exhausted)
+        with pytest.raises(MemoryError, match="exhausted while sweeping"):
+            main(["sweep", "--pattern", pattern("block.sqp"), "--cell", "3", "3", "--steps", "2"])
+        assert "usage error" not in capsys.readouterr().err
+
 
 class TestOracleCheck:
     def test_glider_passes(self, capsys):
@@ -390,6 +414,7 @@ class TestExitPaths:
         (["sweep", "--pattern", "{missing}", "--cell", "3", "3", "--canonicalize-dead-phase"], 1),
         # numpy refuses this many points at once, so nothing is allocated
         (["sweep", "--pattern", "{missing}", "--cell", "3", "3", "--steps", "1000000000000000"], 1),
+        (["sweep", "--pattern", "{block}", "--cell", "3", "3", "--steps", "1000000000000000"], 1),
     ], ids=["output-is-a-file", "cell-off-grid", "analyze-zero-generations",
             "sweep-zero-steps-before-missing-pattern", "dead-threshold-before-missing-pattern",
             "sweep-nan-dead-threshold-before-missing-pattern",
@@ -399,7 +424,7 @@ class TestExitPaths:
             "oracle-check-takes-no-canonicalize-dead-phase",
             "run-takes-no-canonicalize-dead-phase", "analyze-takes-no-canonicalize-dead-phase",
             "sweep-takes-no-canonicalize-dead-phase",
-            "sweep-unallocatable-steps-before-missing-pattern"])
+            "sweep-unallocatable-steps-before-missing-pattern", "sweep-unallocatable-steps"])
     def test_exit_code(self, tmp_path, capsys, argv, code):
         taken = tmp_path / "taken"
         taken.write_text("")

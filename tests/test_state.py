@@ -192,6 +192,31 @@ class TestParse:
         doc = parse_pattern("# name:\nversion 1\nsize 1 1\nboundary fixed\ncells\n.\n")
         assert doc.name == ""
 
+    # every line boundary str.splitlines knows ends a metadata line, as it ends any other
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_a_line_break_ends_a_metadata_line(self, brk):
+        text = f"# name: two{brk}# comment: lines\nversion 1\nsize 1 1\nboundary fixed\ncells\n.\n"
+        doc = parse_pattern(text)
+        assert (doc.name, doc.comment) == ("two", "lines")
+        assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize("line", ["# name: padded", "# name:padded", "#name:\tpadded",
+                                      "# name: padded \t", "#\u3000name:\u3000padded\u3000"])
+    def test_metadata_is_stripped(self, line):
+        doc = parse_pattern(line + "\nversion 1\nsize 1 1\nboundary fixed\ncells\n.\n")
+        assert doc.name == "padded"
+
+    def test_metadata_keys_ignore_case(self):
+        doc = parse_pattern("# NAME: x\n# Comment: y\nversion 1\nsize 1 1\nboundary fixed\ncells\n.\n")
+        assert (doc.name, doc.comment) == ("x", "y")
+
+    def test_the_first_name_and_comment_are_kept(self):
+        text = ("# comment: first\n# name: one\n# name: two\n# comment: second\n"
+                "version 1\nsize 1 1\nboundary fixed\ncells\n.\n")
+        doc = parse_pattern(text)
+        assert (doc.name, doc.comment) == ("one", "first")
+
     def test_amplitude_out_of_range(self):
         with pytest.raises(PatternError, match="amplitude"):
             parse_pattern(self.make(["1.5@0"]))
